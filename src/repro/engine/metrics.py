@@ -91,7 +91,7 @@ class PipelineMetrics:
     #: total service job execution wall time (queue wait excluded)
     service_seconds: float = 0.0
     #: trace chunks consumed by the vector simulation backend (see
-    #: :mod:`repro.fastpath.vector`); stays 0 on the other engines
+    #: :mod:`repro.fastpath.vector`); stays 0 on legacy
     vector_chunks_total: int = 0
     #: design-space sweep points evaluated (see :mod:`repro.sweep`)
     sweep_points_total: int = 0
@@ -158,10 +158,9 @@ class PipelineMetrics:
                      invocations: int = 1) -> None:
         """Credit pre-measured wall time to a stage.
 
-        The fused engines (stream, vector) interleave emulation and
-        simulation inside one call, so they time the simulator feeds
-        themselves and report the split here instead of via
-        :meth:`timer`.
+        The fused vector engine interleaves emulation and simulation
+        inside one call, so it times the simulator feeds itself and
+        reports the split here instead of via :meth:`timer`.
         """
         m = self.stages.setdefault(stage, StageMetrics())
         m.invocations += invocations
@@ -451,42 +450,6 @@ class PipelineMetrics:
 
 #: bound on the trajectory carried inside a bench JSON file
 _HISTORY_LIMIT = 50
-
-
-def vector_speedup_floor(current: dict, baseline: dict,
-                         min_speedup: float = 2.5,
-                         stages: tuple = ("emulate", "simulate"),
-                         min_seconds: float = 0.05) -> list[str]:
-    """Per-invocation speedup floor for the vector engine.
-
-    ``current`` is a bench-JSON dict from a vector-engine run,
-    ``baseline`` the committed fastpath baseline.  Each listed stage
-    must run at least ``min_speedup`` times faster per invocation than
-    the baseline; stages cheaper than ``min_seconds`` total in the
-    baseline are skipped as noise.  Returns one line per stage missing
-    the floor (empty = gate passed).
-    """
-    failures: list[str] = []
-    for name in stages:
-        base = baseline.get("stages", {}).get(name, {})
-        cur = current.get("stages", {}).get(name, {})
-        base_wall = base.get("wall_seconds", 0.0)
-        base_inv = base.get("invocations", 0)
-        cur_wall = cur.get("wall_seconds", 0.0)
-        cur_inv = cur.get("invocations", 0)
-        if base_wall < min_seconds or not base_inv or not cur_inv:
-            continue
-        base_per = base_wall / base_inv
-        cur_per = cur_wall / cur_inv
-        if cur_per <= 0:
-            continue
-        speedup = base_per / cur_per
-        if speedup < min_speedup:
-            failures.append(
-                f"{name}: {speedup:.2f}x per invocation vs baseline "
-                f"({cur_per * 1000:.2f} ms vs {base_per * 1000:.2f} ms; "
-                f"floor {min_speedup:.1f}x)")
-    return failures
 
 
 def compare_stage_walltimes(current: dict, baseline: dict,

@@ -26,7 +26,6 @@ from repro.emu.trace import ExecutionResult
 from repro.engine import keys
 from repro.fastpath.columns import TraceColumns
 from repro.fastpath.decode import DecodedProgram, decode_program
-from repro.fastpath.interp import run_program_fast
 from repro.fastpath.simulate import SimPrep, prepare_sim, simulate_columns
 from repro.engine.metrics import PipelineMetrics
 from repro.engine.store import ArtifactStore
@@ -62,17 +61,13 @@ class PipelineContext:
     wall_clock_budget: float | None = None
     store: ArtifactStore | None = None
     metrics: PipelineMetrics = field(default_factory=PipelineMetrics)
-    #: emulate/simulate through the pre-decoded fastpath (columnar
-    #: traces); False falls back to the legacy object-graph loops,
-    #: which remain the differential oracle
-    fastpath: bool = True
-    #: execution backend by name — "legacy", "fastpath", "stream" or
-    #: "vector"; overrides ``fastpath`` when given.  Every engine
-    #: produces bit-identical artifacts, so cache keys are engine-free
-    #: and warm artifacts are shared across engines.
-    engine: str | None = None
+    #: execution backend: "vector" (native or Python chunked engine)
+    #: or "legacy" (the object-graph loops, kept as the differential
+    #: oracle).  Both produce bit-identical artifacts, so cache keys
+    #: are engine-free and warm artifacts are shared across engines.
+    engine: str = "vector"
     #: worker processes for intra-workload trace sharding on the
-    #: vector engine (ignored by the other engines)
+    #: vector engine (ignored by legacy)
     jobs: int = 1
     #: whether this process may use the native (C) kernels.  Resolved
     #: once from the supervisor's per-process env snapshot, never from
@@ -82,11 +77,8 @@ class PipelineContext:
     native_enabled: bool | None = None
 
     def __post_init__(self):
-        if self.engine is None:
-            self.engine = "fastpath" if self.fastpath else "legacy"
-        if self.engine not in ("legacy", "fastpath", "stream", "vector"):
+        if self.engine not in ("legacy", "vector"):
             raise ValueError(f"unknown engine {self.engine!r}")
-        self.fastpath = self.engine != "legacy"
         if self.native_enabled is None:
             from repro.fastpath import supervisor
             self.native_enabled = supervisor.native_enabled()
@@ -255,15 +247,6 @@ class PipelineContext:
                             self.compile_key(workload, model, machine),
                             compiled),
                         native=self.native_enabled)
-                elif self.fastpath:
-                    execution = run_program_fast(
-                        compiled.program,
-                        inputs=workload.inputs(self.scale),
-                        collect_trace=True, max_steps=self.max_steps,
-                        watchdog=watchdog,
-                        decoded=self._decoded_for(
-                            self.compile_key(workload, model, machine),
-                            compiled))
                 else:
                     execution = run_program(
                         compiled.program,
@@ -298,54 +281,32 @@ class PipelineContext:
         if summary is None:
             compiled = self.compiled(workload, model, machine)
             compile_key = self.compile_key(workload, model, machine)
-            if self.engine == "stream" and not self.paranoid:
-                # Fused emulate→simulate: the trace never materializes,
-                # so no execution artifact is produced (or stored — a
-                # trace-less execution must not shadow the shared,
-                # engine-free execution key).  Paranoid mode needs the
-                # trace for integrity replay and takes the unfused path.
-                from repro.fastpath.simulate import \
-                    emulate_and_simulate_stream
-                watchdog = None
-                if self.wall_clock_budget is not None:
-                    watchdog = EmulationWatchdog(
-                        wall_clock_budget=self.wall_clock_budget)
-                execution, stats = emulate_and_simulate_stream(
-                    compiled.program, compiled.addresses, machine,
-                    inputs=workload.inputs(self.scale),
-                    max_steps=self.max_steps, watchdog=watchdog,
-                    decoded=self._decoded_for(compile_key, compiled),
-                    prep=self._prep_for(compile_key, compiled, machine),
-                    metrics=self.metrics)
-            else:
-                execution = self.execution(workload, model, machine)
-                if execution.trace is None:
-                    raise TraceIntegrityError(
-                        f"{workload.name}/{model.value}: emulation "
-                        f"produced no trace")
-                with self.metrics.timer("simulate"):
-                    trace = execution.trace
-                    if isinstance(trace, TraceColumns) \
-                            and self.engine == "vector":
-                        from repro.fastpath.vector import \
-                            simulate_columns_vector
-                        stats = simulate_columns_vector(
-                            trace,
-                            self._vprep_for(compile_key, compiled,
-                                            machine),
-                            machine, jobs=self.jobs,
-                            task_key=machine.schedule_digest(),
-                            metrics=self.metrics,
-                            native=self.native_enabled)
-                    elif isinstance(trace, TraceColumns):
-                        stats = simulate_columns(
-                            trace,
-                            self._prep_for(compile_key, compiled,
-                                           machine),
-                            machine)
-                    else:
-                        stats = simulate_trace(trace, compiled.addresses,
-                                               machine)
+            execution = self.execution(workload, model, machine)
+            if execution.trace is None:
+                raise TraceIntegrityError(
+                    f"{workload.name}/{model.value}: emulation "
+                    f"produced no trace")
+            with self.metrics.timer("simulate"):
+                trace = execution.trace
+                if isinstance(trace, TraceColumns) \
+                        and self.engine == "vector":
+                    from repro.fastpath.vector import \
+                        simulate_columns_vector
+                    stats = simulate_columns_vector(
+                        trace,
+                        self._vprep_for(compile_key, compiled, machine),
+                        machine, jobs=self.jobs,
+                        task_key=machine.schedule_digest(),
+                        metrics=self.metrics,
+                        native=self.native_enabled)
+                elif isinstance(trace, TraceColumns):
+                    stats = simulate_columns(
+                        trace,
+                        self._prep_for(compile_key, compiled, machine),
+                        machine)
+                else:
+                    stats = simulate_trace(trace, compiled.addresses,
+                                           machine)
             self.metrics.add_cycles(stats.cycles)
             summary = RunSummary(stats=stats,
                                  return_value=execution.return_value,

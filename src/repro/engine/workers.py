@@ -32,10 +32,10 @@ class JobSpec:
     max_steps: int
     paranoid: bool = False
     wall_clock_budget: float | None = None
-    #: execution backend ("legacy"/"fastpath"/"stream"/"vector");
+    #: execution backend ("vector" or "legacy");
     #: workers never shard further (jobs stays 1 — they already run
     #: inside the pool)
-    engine: str = "fastpath"
+    engine: str = "vector"
 
     def context(self) -> PipelineContext:
         return PipelineContext(

@@ -117,10 +117,10 @@ class ExperimentSuite:
     wall_clock_budget: float | None = None
     cache_dir: str | None = None
     jobs: int = 1
-    #: execution backend for emulate/simulate ("legacy", "fastpath",
-    #: "stream" or "vector"); artifacts are engine-free, so mixing
-    #: engines over one store is safe and byte-identical
-    engine: str = "fastpath"
+    #: execution backend for emulate/simulate ("vector" or "legacy");
+    #: artifacts are engine-free, so mixing engines over one store is
+    #: safe and byte-identical
+    engine: str = "vector"
     run_id: str | None = None
     resume: bool = False
     retry: RetryPolicy | None = None

@@ -1,5 +1,4 @@
-"""Fastpath: pre-decoded micro-ops, columnar traces, and streaming
-emulate→simulate.
+"""Fastpath: pre-decoded micro-ops, columnar traces, and the vector engine.
 
 The legacy object-graph interpreter (``repro.emu.interpreter``) and trace
 simulator (``repro.sim.pipeline``) pay per-dynamic-instruction Python
@@ -10,11 +9,12 @@ compiled :class:`~repro.ir.function.Program` into flat, integer-indexed
 structures once (:mod:`repro.fastpath.decode`), executes it with an
 int-dispatched interpreter emitting a columnar trace
 (:mod:`repro.fastpath.interp`, :mod:`repro.fastpath.columns`), and
-simulates straight off the columns — optionally streaming fixed-size
-chunks from emulator to simulator without materializing the full trace
-(:mod:`repro.fastpath.simulate`).
+simulates straight off the columns (:mod:`repro.fastpath.simulate`).
 
-The legacy path stays untouched as the differential oracle; see
+The ``vector`` engine (:mod:`repro.fastpath.vector`) streams those
+columns chunk by chunk from native or specialized-Python emulation into
+a batched simulator.  The legacy path stays untouched as the
+differential oracle; see
 ``repro.robustness.differential.assert_fastpath_equivalent``.
 """
 
@@ -24,7 +24,6 @@ from repro.fastpath.decode import DecodedFunction, DecodedProgram, \
     decode_program
 from repro.fastpath.interp import run_program_fast
 from repro.fastpath.simulate import (SimPrep, StreamSimulator,
-                                     emulate_and_simulate_stream,
                                      prepare_sim, simulate_columns)
 
 __all__ = [
@@ -32,5 +31,4 @@ __all__ = [
     "DecodedFunction", "DecodedProgram", "decode_program",
     "run_program_fast",
     "SimPrep", "StreamSimulator", "prepare_sim", "simulate_columns",
-    "emulate_and_simulate_stream",
 ]

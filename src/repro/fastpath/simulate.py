@@ -7,9 +7,9 @@ issue cycles to :class:`TraceColumns` chunks with the exact model of
 ``sim.pipeline.simulate_trace`` (in-order k-issue, register interlocks,
 BTB, optional blocking I/D caches) but no per-event attribute lookups.
 
-Because the simulator is incremental (``feed`` chunks, then ``finish``),
-it composes with the streaming emulator: :func:`emulate_and_simulate_stream`
-runs emulate→simulate with the trace never materialized.
+It is the readable specification that the vector engine's native scan
+and NumPy residual scan (:mod:`repro.fastpath.vector`) mirror, and the
+columnar leg of the differential oracle.
 
 Register identity note: the legacy simulator keys its ``ready`` table by
 register *objects* across the whole trace, so equal ``VReg``/``PReg``
@@ -19,20 +19,14 @@ reproduces this with one program-wide object→dense-id map.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.fastpath.columns import TraceColumns
-from repro.fastpath.decode import DecodedProgram, decode_program
+from repro.fastpath.decode import DecodedProgram
 from repro.ir.opcodes import OpCategory
 from repro.machine.descriptor import MachineDescription
 from repro.machine.latencies import latency as _pa7100_latency
 from repro.sim.btb import BranchTargetBuffer
 from repro.sim.cache import DirectMappedCache
 from repro.sim.pipeline import SimulationStats
-
-if TYPE_CHECKING:
-    from repro.emu.trace import ExecutionResult
-    from repro.ir.function import Program
 
 # Per-static-instruction behaviour flags.
 F_CONTROL = 1    # branch/jump/call/ret: occupies a branch issue slot
@@ -290,54 +284,3 @@ def simulate_columns(cols: TraceColumns, prep: SimPrep,
     sim.feed(cols)
     return sim.finish()
 
-
-def emulate_and_simulate_stream(
-        program: "Program", addresses: dict[int, int],
-        machine: MachineDescription,
-        inputs: dict[str, list[int | float] | bytes] | None = None,
-        max_steps: int = 50_000_000,
-        watchdog=None,
-        chunk_events: int | None = None,
-        decoded: DecodedProgram | None = None,
-        prep: SimPrep | None = None,
-        metrics=None
-) -> "tuple[ExecutionResult, SimulationStats]":
-    """Streaming emulate→simulate: the trace is consumed chunk-by-chunk
-    and never materialized (``ExecutionResult.trace`` is ``None``).
-
-    When a :class:`~repro.engine.metrics.PipelineMetrics` is supplied,
-    the fused run times every simulator feed separately and credits the
-    split to the ``emulate`` and ``simulate`` stages (one invocation
-    each), so streamed runs stay comparable with the unfused engines in
-    ``BENCH_pipeline.json``.
-    """
-    from time import perf_counter
-
-    from repro.fastpath.interp import DEFAULT_CHUNK_EVENTS, \
-        run_program_fast
-    if decoded is None:
-        decoded = decode_program(program)
-    if prep is None:
-        prep = prepare_sim(decoded, addresses, machine)
-    sim = StreamSimulator(prep, machine)
-    sink = sim.feed
-    sim_seconds = [0.0]
-    if metrics is not None:
-        def sink(cols, _feed=sim.feed, _acc=sim_seconds):
-            start = perf_counter()
-            _feed(cols)
-            _acc[0] += perf_counter() - start
-    begin = perf_counter()
-    execution = run_program_fast(
-        program, inputs=inputs, max_steps=max_steps, watchdog=watchdog,
-        sink=sink,
-        chunk_events=chunk_events or DEFAULT_CHUNK_EVENTS,
-        decoded=decoded)
-    mid = perf_counter()
-    stats = sim.finish()
-    if metrics is not None:
-        sim_wall = sim_seconds[0] + (perf_counter() - mid)
-        metrics.record_stage("emulate", max(mid - begin - sim_seconds[0],
-                                            0.0))
-        metrics.record_stage("simulate", sim_wall)
-    return execution, stats

@@ -843,7 +843,7 @@ def emulate_and_simulate_vector(
     the flat interpreter (always, when a watchdog is attached); the
     simulator side consumes each chunk through the native full scan
     or the vector pre-pass + residual scan.  Observables are
-    byte-identical to the stream engine on every path — including
+    byte-identical to the legacy engine on every path — including
     after a mid-stream kernel crash, which demotes the process and
     restarts the fused run from scratch on the pure-Python rungs.
 

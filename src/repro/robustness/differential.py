@@ -76,14 +76,16 @@ def assert_fastpath_equivalent(compiled, inputs=None, machine=None,
                                *, workload: str = "?",
                                wall_budget: float | None = None
                                ) -> ExecutionResult:
-    """Differential mode for the fastpath: legacy vs fast vs streaming.
+    """Differential mode for the fast engines: legacy vs columnar vs
+    vector.
 
     Runs the legacy object-graph emulate+simulate, the columnar
-    fastpath, and the streaming emulate→simulate on ``compiled`` and
-    raises :class:`ModelDivergenceError` unless every execution
-    observable, every trace event, and every ``SimulationStats`` field
-    is identical.  This is the oracle behind the ``--differential``
-    CLI flag and the acceptance gate for the fastpath.
+    interpreter with :func:`~repro.fastpath.simulate.simulate_columns`,
+    and the fused vector engine on ``compiled`` and raises
+    :class:`ModelDivergenceError` unless every execution observable,
+    every trace event, and every ``SimulationStats`` field is
+    identical.  This is the oracle behind the ``--differential`` CLI
+    flag and the acceptance gate for the vector engine.
 
     ``wall_budget`` arms a fresh :class:`EmulationWatchdog` per engine
     run (fresh, because budgets are per-execution, not per-oracle call).
@@ -95,8 +97,7 @@ def assert_fastpath_equivalent(compiled, inputs=None, machine=None,
     from repro.emu.interpreter import run_program
     from repro.fastpath.decode import decode_program
     from repro.fastpath.interp import run_program_fast
-    from repro.fastpath.simulate import (emulate_and_simulate_stream,
-                                         prepare_sim, simulate_columns)
+    from repro.fastpath.simulate import prepare_sim, simulate_columns
     from repro.robustness.watchdog import EmulationWatchdog
     from repro.sim.pipeline import simulate_trace
 
@@ -138,24 +139,6 @@ def assert_fastpath_equivalent(compiled, inputs=None, machine=None,
             f"{workload}: fastpath simulation of {model} diverges: "
             f"{fast_stats} vs legacy {legacy_stats}",
             workload=workload, model=model, kind="fastpath-stats")
-
-    streamed, stream_stats = emulate_and_simulate_stream(
-        compiled.program, compiled.addresses, machine, inputs=inputs,
-        max_steps=max_steps, decoded=decoded, prep=prep,
-        watchdog=watchdog())
-    if stream_stats != legacy_stats:
-        raise ModelDivergenceError(
-            f"{workload}: streaming simulation of {model} diverges: "
-            f"{stream_stats} vs legacy {legacy_stats}",
-            workload=workload, model=model, kind="fastpath-stream")
-    for fname in _EXACT_FIELDS:
-        a, b = getattr(streamed, fname), getattr(legacy, fname)
-        if a != b:
-            raise ModelDivergenceError(
-                f"{workload}: streaming emulation of {model} diverges "
-                f"on {fname}: {a!r} vs legacy {b!r}",
-                workload=workload, model=model,
-                kind=f"fastpath-stream-{fname}")
 
     from repro.fastpath.vector import emulate_and_simulate_vector
     vectored, vector_stats = emulate_and_simulate_vector(

@@ -435,7 +435,7 @@ def execute_shard(cache_dir: str, work: dict, ops,
     spec = SweepSpec.from_dict(manifest["spec"])
     by_index = {p.index: p for p in spec.expand()}
     indices = shard_points(manifest, work["shard"])
-    engine = manifest.get("engine", "fastpath")
+    engine = manifest.get("engine", "vector")
     pump = _HeartbeatPump(ops, work["campaign"], work["lease"],
                           worker_id,
                           float(manifest.get("heartbeat_interval",
@@ -589,7 +589,7 @@ def run_cluster_sweep(spec: SweepSpec, cache_dir: str,
                       retry: RetryPolicy | None = None,
                       wall_clock_budget: float | None = None,
                       metrics: PipelineMetrics | None = None,
-                      engine: str = "fastpath") -> SweepOutcome:
+                      engine: str = "vector") -> SweepOutcome:
     """Coordinate one sweep campaign across registered workers.
 
     Publishes the manifest, waits up to ``worker_grace`` for workers,

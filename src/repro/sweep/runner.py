@@ -65,7 +65,7 @@ class PointJobSpec:
     max_steps: int
     options: ToolchainOptions = field(default_factory=ToolchainOptions)
     wall_clock_budget: float | None = None
-    engine: str = "fastpath"
+    engine: str = "vector"
 
 
 def make_point_spec(spec: SweepSpec, cache_dir: str,
@@ -73,7 +73,7 @@ def make_point_spec(spec: SweepSpec, cache_dir: str,
                     model_names: tuple[str, ...] | None = None, *,
                     options: ToolchainOptions | None = None,
                     wall_clock_budget: float | None = None,
-                    engine: str = "fastpath") -> PointJobSpec:
+                    engine: str = "vector") -> PointJobSpec:
     """The :class:`PointJobSpec` for one machine of a sweep campaign.
 
     Shared by the in-process plan builder and the cluster workers
@@ -133,7 +133,7 @@ def run_sweep(spec: SweepSpec, cache_dir: str | None = None,
               resume: bool = False, retry: RetryPolicy | None = None,
               wall_clock_budget: float | None = None,
               metrics: PipelineMetrics | None = None,
-              engine: str = "fastpath") -> SweepOutcome:
+              engine: str = "vector") -> SweepOutcome:
     """Run one sweep campaign to a :class:`SweepResult`.
 
     ``cache_dir``/``jobs``/``run_id``/``resume``/``retry`` have the

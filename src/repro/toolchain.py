@@ -276,9 +276,7 @@ def run_compiled(compiled: CompiledProgram,
                  machine: MachineDescription | None = None,
                  max_steps: int = 50_000_000,
                  watchdog: EmulationWatchdog | None = None,
-                 fastpath: bool = True,
-                 stream: bool = False,
-                 engine: str | None = None) -> RunResult:
+                 engine: str = "vector") -> RunResult:
     """Emulate the compiled program and simulate its trace.
 
     ``machine`` may differ from the compile-time machine in memory
@@ -286,18 +284,13 @@ def run_compiled(compiled: CompiledProgram,
     perfect-vs-real-cache comparisons without recompiling.  An optional
     ``watchdog`` bounds emulation wall-clock time on top of ``max_steps``.
 
-    ``engine`` picks the execution backend by name — ``"legacy"``,
-    ``"fastpath"``, ``"stream"``, or ``"vector"`` — and overrides the
-    older ``fastpath``/``stream`` flags when given.  All engines
-    produce bit-identical observables; they differ only in speed and
-    whether the full trace is materialized (``stream`` and ``vector``
-    leave ``RunResult.execution.trace`` as None).
+    ``engine`` picks the execution backend: ``"vector"`` (fused chunked
+    emulate→simulate; ``RunResult.execution.trace`` stays None) or
+    ``"legacy"`` (the object-graph oracle, full trace materialized).
+    Both produce bit-identical observables and statistics.
     """
     if machine is None:
         machine = compiled.machine
-    if engine is None:
-        engine = "stream" if stream else (
-            "fastpath" if fastpath else "legacy")
     if engine == "vector":
         from repro.fastpath.vector import emulate_and_simulate_vector
         execution, stats = emulate_and_simulate_vector(
@@ -305,32 +298,8 @@ def run_compiled(compiled: CompiledProgram,
             max_steps=max_steps, watchdog=watchdog)
         return RunResult(compiled=compiled, execution=execution,
                          stats=stats)
-    if engine == "stream":
-        from repro.fastpath.simulate import emulate_and_simulate_stream
-        execution, stats = emulate_and_simulate_stream(
-            compiled.program, compiled.addresses, machine, inputs=inputs,
-            max_steps=max_steps, watchdog=watchdog)
-        return RunResult(compiled=compiled, execution=execution,
-                         stats=stats)
-    if engine not in ("fastpath", "legacy"):
+    if engine != "legacy":
         raise ValueError(f"unknown engine {engine!r}")
-    if engine == "fastpath":
-        from repro.fastpath.decode import decode_program
-        from repro.fastpath.interp import run_program_fast
-        from repro.fastpath.simulate import prepare_sim, simulate_columns
-        decoded = decode_program(compiled.program)
-        execution = run_program_fast(compiled.program, inputs=inputs,
-                                     collect_trace=True,
-                                     max_steps=max_steps,
-                                     watchdog=watchdog, decoded=decoded)
-        if execution.trace is None:
-            raise TraceIntegrityError(
-                f"emulation of {compiled.model.value} produced no trace")
-        stats = simulate_columns(
-            execution.trace,
-            prepare_sim(decoded, compiled.addresses, machine), machine)
-        return RunResult(compiled=compiled, execution=execution,
-                         stats=stats)
     execution = run_program(compiled.program, inputs=inputs,
                             collect_trace=True, max_steps=max_steps,
                             watchdog=watchdog)

@@ -85,7 +85,7 @@ def test_sigkill_mid_shard_reassigns_and_stays_byte_identical(tmp_path):
     single-node result bytes."""
     cache = str(tmp_path / "cache")
     config = ClusterConfig(worker_grace=5.0, lease_timeout=2.0)
-    open_campaign(cache, SPEC, config, "fastpath")
+    open_campaign(cache, SPEC, config, "vector")
 
     victim = subprocess.Popen(
         [sys.executable, "-c", _VICTIM.format(src=_SRC, cache=cache)],

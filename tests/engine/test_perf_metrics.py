@@ -79,6 +79,22 @@ def test_compare_tolerates_missing_stages():
                                    baseline) == []
 
 
+def test_committed_baseline_replayed_against_itself_passes(capsys):
+    """A vector run at exactly baseline speed passes ``--compare``: the
+    gate is the 25% per-stage regression check and nothing else."""
+    import argparse
+    from pathlib import Path
+
+    from repro.cli import _print_metrics
+
+    baseline = Path(__file__).resolve().parents[2] / "BENCH_pipeline.json"
+    metrics = PipelineMetrics()
+    metrics.merge_dict(json.loads(baseline.read_text()))
+    args = argparse.Namespace(engine="vector", compare=str(baseline))
+    assert _print_metrics(metrics, args) == 0
+    assert "no stage regressions" in capsys.readouterr().err
+
+
 # ----- timing trajectory ---------------------------------------------------
 
 def test_write_json_appends_dated_history(tmp_path):

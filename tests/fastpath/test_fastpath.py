@@ -1,4 +1,4 @@
-"""Fastpath engine: decode, columnar traces, streaming, equivalence.
+"""Fastpath: decode, columnar traces, streaming, equivalence.
 
 The fastpath (`src/repro/fastpath/`) re-implements the emulator's and
 simulator's hot loops over dense integer-indexed structures; every test
@@ -13,8 +13,8 @@ from repro.engine.serialize import pack, unpack
 from repro.fastpath.columns import FLAG_EXECUTED, TraceColumns
 from repro.fastpath.decode import decode_program
 from repro.fastpath.interp import run_program_fast
-from repro.fastpath.simulate import (emulate_and_simulate_stream,
-                                     prepare_sim, simulate_columns)
+from repro.fastpath.simulate import prepare_sim, simulate_columns
+from repro.fastpath.vector import emulate_and_simulate_vector
 from repro.robustness.differential import assert_fastpath_equivalent
 from repro.robustness.errors import ModelDivergenceError
 from repro.sim.pipeline import simulate_trace
@@ -106,13 +106,13 @@ def test_fast_simulation_matches_legacy_with_real_caches(wc_compiled,
 
 # ----- streaming -----------------------------------------------------------
 
-@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+@pytest.mark.parametrize("chunk", [1, 7, 4096, 1 << 16])
 def test_streaming_matches_batch_at_any_chunk_size(wc_compiled, machine8,
                                                    chunk):
     legacy = run_program(wc_compiled.program, inputs=wc_inputs(),
                          collect_trace=True)
     want = simulate_trace(legacy.trace, wc_compiled.addresses, machine8)
-    streamed, stats = emulate_and_simulate_stream(
+    streamed, stats = emulate_and_simulate_vector(
         wc_compiled.program, wc_compiled.addresses, machine8,
         inputs=wc_inputs(), chunk_events=chunk)
     assert stats == want

@@ -1,8 +1,8 @@
 """Vector backend: equivalence, chunk invariance, sharding, metrics.
 
 The vector engine (native C kernels with a pure-NumPy fallback) must be
-byte-identical to the legacy and fastpath engines on every observable,
-at every chunk size, and at every ``jobs`` level.  The property test
+byte-identical to the legacy engine on every observable, at every chunk
+size, and at every ``jobs`` level.  The property test
 reuses the differential fuzz generator's stress profiles, so the same
 program shapes that hunt miscompiles also hunt engine drift.
 """
@@ -133,14 +133,17 @@ def test_run_compiled_engine_matrix(kernel):
     compiled, _, _, _, machine, _ = kernel
     results = {engine: run_compiled(compiled, machine=machine,
                                     engine=engine)
-               for engine in ("legacy", "fastpath", "stream", "vector")}
+               for engine in ("legacy", "vector")}
     ref = results["legacy"]
-    for engine, result in results.items():
-        assert result.return_value == ref.return_value, engine
-        _assert_stats_equal(result.stats, ref.stats, engine)
-    # the fused engines never materialize the trace
-    assert results["stream"].execution.trace is None
-    assert results["vector"].execution.trace is None
+    vec = results["vector"]
+    assert vec.return_value == ref.return_value
+    for field in _EXACT:
+        assert getattr(vec.execution, field) == \
+            getattr(ref.execution, field), field
+    _assert_stats_equal(vec.stats, ref.stats, "vector")
+    # the fused engine never materializes the trace; the oracle does
+    assert vec.execution.trace is None
+    assert ref.execution.trace is not None
     with pytest.raises(ValueError):
         run_compiled(compiled, machine=machine, engine="warp")
 
@@ -150,20 +153,21 @@ def test_pipeline_context_engines_agree():
     machine = MachineDescription(issue_width=4)
     summaries = {}
     contexts = {}
-    for engine in ("fastpath", "stream", "vector"):
+    for engine in ("legacy", "vector"):
         ctx = PipelineContext(engine=engine, scale=0.3)
         summaries[engine] = ctx.run_summary(workload, Model.FULLPRED,
                                             machine)
         contexts[engine] = ctx
-    ref = summaries["fastpath"]
-    for engine, summary in summaries.items():
-        assert summary.return_value == ref.return_value, engine
-        _assert_stats_equal(summary.stats, ref.stats, engine)
-    # fused/vector runs still split emulate vs simulate wall time
-    for engine in ("stream", "vector"):
-        metrics = contexts[engine].metrics
-        assert metrics.stages["emulate"].invocations == 1
-        assert metrics.stages["simulate"].invocations == 1
+    ref = summaries["legacy"]
+    summary = summaries["vector"]
+    assert summary.return_value == ref.return_value
+    assert summary.static_size == ref.static_size
+    _assert_stats_equal(summary.stats, ref.stats, "vector")
+    # both engines split emulate vs simulate wall time
+    for ctx in contexts.values():
+        assert ctx.metrics.stages["emulate"].invocations == 1
+        assert ctx.metrics.stages["simulate"].invocations == 1
+    assert contexts["legacy"].metrics.vector_chunks_total == 0
     assert contexts["vector"].metrics.vector_chunks_total >= 1
     data = contexts["vector"].metrics.to_dict()
     assert data["vector_chunks_total"] >= 1
@@ -183,8 +187,39 @@ def test_pipeline_context_vector_sharded_matches_serial():
 
 
 def test_pipeline_context_rejects_unknown_engine():
-    with pytest.raises(ValueError):
-        PipelineContext(engine="warp")
+    for engine in ("warp", "fastpath", "stream"):
+        with pytest.raises(ValueError):
+            PipelineContext(engine=engine)
+
+
+def test_vector_is_the_default_engine(kernel):
+    """Every entry point defaults to vector; only legacy/vector exist."""
+    import inspect
+
+    from repro.cli import build_parser
+    from repro.experiments.runner import ExperimentSuite
+
+    assert PipelineContext().engine == "vector"
+    assert ExperimentSuite(workloads=[]).engine == "vector"
+    assert inspect.signature(run_compiled).parameters["engine"].default \
+        == "vector"
+    assert set(inspect.signature(run_compiled).parameters) == {
+        "compiled", "inputs", "machine", "max_steps", "watchdog", "engine"}
+    compiled, _, _, _, machine, _ = kernel
+    assert run_compiled(compiled, machine=machine).execution.trace is None
+
+    parser = build_parser()
+    for argv in (["run", "k.c"], ["bench", "wc"], ["report"],
+                 ["figures"], ["sweep", "run", "grid.toml"]):
+        assert parser.parse_args(argv).engine == "vector", argv
+    for argv in (["run", "k.c", "--engine", "fastpath"],
+                 ["run", "k.c", "--engine", "stream"],
+                 ["run", "k.c", "--stream"],
+                 ["report", "--engine", "fastpath"],
+                 ["report", "--engine", "stream"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2, argv
 
 
 # ----- fused emulate→simulate ----------------------------------------------
