@@ -50,8 +50,9 @@ Subcommands:
 ``bench`` and ``report`` cache every compiled program, emulation trace
 and simulation result in a content-addressed store (``--cache-dir``,
 default ``.repro-cache`` or ``$REPRO_CACHE_DIR``), so a repeated run is
-served entirely from artifacts; ``--jobs N`` fans the pipeline across a
-process pool.  Every store-backed suite run writes an fsync'd JSONL
+served entirely from artifacts; ``--jobs N`` fans the pipeline's job
+DAG across a process pool (``--jobs 1`` runs the same DAG in-process).
+Every store-backed suite run writes an fsync'd JSONL
 journal under ``<cache-dir>/runs/<RUN_ID>.jsonl``; a killed run resumes
 with ``--resume RUN_ID`` (journal-verified completed tasks are never
 recomputed).
@@ -189,8 +190,9 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
                              "legacy is the byte-identical readable "
                              "oracle)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="fan pipeline work across N pool processes "
-                             "(default 1: serial, in-process)")
+                        help="fan the pipeline's job DAG across N pool "
+                             "processes (default 1: the same DAG, "
+                             "in-process)")
     parser.add_argument("--cache-dir", default=_default_cache_dir(),
                         metavar="DIR",
                         help="artifact store directory (default "
@@ -400,6 +402,7 @@ def _cmd_bench(args) -> int:
     profiler = _attach_profiler(suite, args)
     machine = _machine(args)
     try:
+        suite.execute_plan(suite.speedup_needs(machine))
         base = suite.baseline_cycles(workload.name)
         print(f"{workload.name} ({workload.stands_for}), "
               f"scale {args.scale}")

@@ -199,10 +199,12 @@ class RunJournal:
 
     # ----- records ------------------------------------------------------
 
-    def append(self, record: dict) -> None:
-        """One JSON line; durable (flushed + fsync'd) before returning."""
-        self._handle.write(json.dumps(record, sort_keys=True,
-                                      separators=(",", ":")) + "\n")
+    def append(self, *records: dict) -> None:
+        """One JSON line per record; durable (flushed + one fsync)
+        before returning."""
+        self._handle.write("".join(
+            json.dumps(record, sort_keys=True, separators=(",", ":"))
+            + "\n" for record in records))
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
@@ -210,6 +212,11 @@ class RunJournal:
                    attempt: int = 1) -> None:
         self.append({"type": "task-start", "task": task, "spec": spec,
                      "attempt": attempt})
+
+    def task_starts(self, tasks: list[str]) -> None:
+        """Start records for a whole plan, made durable by one fsync."""
+        self.append(*({"type": "task-start", "task": task, "spec": None,
+                       "attempt": 1} for task in tasks))
 
     def task_finish(self, task: str,
                     artifacts: list[tuple[str, str, str]]) -> None:

@@ -36,7 +36,9 @@ loses at most the jobs completed after the last journal fsync.
 
 ``max_workers <= 1`` executes in-process in topological order with the
 same failure and retry semantics — the serial path needs no pool, no
-pickling and no subprocess startup cost.
+pickling and no subprocess startup cost.  ``fail_fast`` stops
+dispatching after the first terminal failure (the strict suite is about
+to raise it anyway); in-flight pool jobs still finish.
 """
 
 from __future__ import annotations
@@ -177,8 +179,8 @@ def _record_failure(job: Job, exc: BaseException,
 def execute_jobs(jobs: list[Job], max_workers: int = 1,
                  retry: RetryPolicy | None = None,
                  metrics: PipelineMetrics | None = None,
-                 on_complete: Callable[[Job, Any], None] | None = None
-                 ) -> SchedulerOutcome:
+                 on_complete: Callable[[Job, Any], None] | None = None,
+                 fail_fast: bool = False) -> SchedulerOutcome:
     """Run a job DAG; never raises for job failures, only misuse."""
     by_id = _validate(jobs)
     order = _topo_order(by_id)
@@ -187,17 +189,20 @@ def execute_jobs(jobs: list[Job], max_workers: int = 1,
     if metrics is None:
         metrics = PipelineMetrics()
     if max_workers <= 1 or len(jobs) <= 1:
-        return _execute_serial(order, by_id, retry, metrics, on_complete)
+        return _execute_serial(order, by_id, retry, metrics, on_complete,
+                               fail_fast)
     return _execute_pool(order, by_id, max_workers, retry, metrics,
-                         on_complete)
+                         on_complete, fail_fast)
 
 
 def _execute_serial(order: list[Job], by_id: dict[str, Job],
                     retry: RetryPolicy, metrics: PipelineMetrics,
-                    on_complete: Callable[[Job, Any], None] | None
-                    ) -> SchedulerOutcome:
+                    on_complete: Callable[[Job, Any], None] | None,
+                    fail_fast: bool) -> SchedulerOutcome:
     outcome = SchedulerOutcome()
     for job in order:
+        if fail_fast and outcome.failures:
+            break
         # _skip_dependents marks the transitive closure of a failure,
         # so one membership test covers failed deps at any distance.
         if job.job_id in outcome.skipped:
@@ -235,8 +240,8 @@ def _execute_serial(order: list[Job], by_id: dict[str, Job],
 def _execute_pool(order: list[Job], by_id: dict[str, Job],
                   max_workers: int, retry: RetryPolicy,
                   metrics: PipelineMetrics,
-                  on_complete: Callable[[Job, Any], None] | None
-                  ) -> SchedulerOutcome:
+                  on_complete: Callable[[Job, Any], None] | None,
+                  fail_fast: bool) -> SchedulerOutcome:
     outcome = SchedulerOutcome()
     remaining = set(by_id)
     #: pool breakages observed while the job ran *alone* in the pool
@@ -257,6 +262,10 @@ def _execute_pool(order: list[Job], by_id: dict[str, Job],
         in_flight[executor.submit(job.fn, *job.args)] = job
 
     def dispatch() -> None:
+        if fail_fast and outcome.failures:
+            backoff_queue.clear()
+            suspects.clear()
+            return
         now = time.monotonic()
         # Backed-off retries whose delay elapsed go first: they already
         # held a slot in a previous attempt and their dependents wait.

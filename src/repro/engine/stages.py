@@ -11,9 +11,10 @@ machine — with two levels of reuse:
   before any computation and fed after it, so artifacts survive the
   process and are shared across processes.
 
-Both the experiment suite (serial path) and the scheduler's pool
-workers (parallel path) drive this same class, so cache keying and
-metrics accounting cannot drift between the two.
+Every job of the execution DAG drives this class — in-process on the
+suite's own context, or on a pool worker's (see
+:mod:`repro.engine.workers`) — as do the suite's reads, so cache keying
+and metrics accounting cannot drift between serial and parallel runs.
 """
 
 from __future__ import annotations
@@ -99,8 +100,16 @@ class PipelineContext:
         # Vector-backend simulator tables (lazy numpy views over the
         # SimPrep above), keyed the same way.
         self._vprep: dict[str, object] = {}
+        self._stats_keys: dict[tuple, str] = {}
 
     # ----- keys ---------------------------------------------------------
+
+    def frontend_key(self, workload: Workload) -> str:
+        return keys.frontend_key(workload.source)
+
+    def profile_key(self, workload: Workload) -> str:
+        return keys.profile_key(workload.name, workload.source, self.scale,
+                                self.max_steps)
 
     def compile_key(self, workload: Workload, model: Model,
                     machine: MachineDescription) -> str:
@@ -117,8 +126,14 @@ class PipelineContext:
 
     def stats_key(self, workload: Workload, model: Model,
                   machine: MachineDescription) -> str:
-        return keys.stats_key(
-            self.execution_key(workload, model, machine), machine.digest())
+        # Memoized: planning and reads derive each triple's key often.
+        memo = (workload.name, workload.source, model, machine)
+        key = self._stats_keys.get(memo)
+        if key is None:
+            key = self._stats_keys[memo] = keys.stats_key(
+                self.execution_key(workload, model, machine),
+                machine.digest())
+        return key
 
     # ----- stages -------------------------------------------------------
 
@@ -166,7 +181,7 @@ class PipelineContext:
 
     def frontend_program(self, workload: Workload) -> Program:
         """Optimized baseline IR (cached per source)."""
-        key = keys.frontend_key(workload.source)
+        key = self.frontend_key(workload)
         program = self._frontend.get(key)
         if program is None and self.store is not None:
             program = self.store.get("frontend", key)
@@ -182,8 +197,7 @@ class PipelineContext:
 
     def profile(self, workload: Workload) -> Profile:
         """Training-run profile for the baseline IR."""
-        key = keys.profile_key(workload.name, workload.source, self.scale,
-                               self.max_steps)
+        key = self.profile_key(workload)
         profile = self._profile.get(key)
         if profile is None and self.store is not None:
             profile = self.store.get("profile", key)
@@ -316,6 +330,15 @@ class PipelineContext:
         self._summary[key] = summary
         self._drain_native_counters()
         return summary
+
+    def release(self) -> None:
+        """Drop per-job state: summaries (stored) and traces (large),
+        keeping the latest trace for the simulate job that follows its
+        compile+emulate job.  Machine-independent memos stay."""
+        self._summary.clear()
+        if self._execution:
+            last = next(reversed(self._execution))
+            self._execution = {last: self._execution[last]}
 
     def _drain_native_counters(self) -> None:
         """Fold the supervisor's degradation telemetry into this run's

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from repro.experiments.runner import ExperimentSuite, mean_speedups
+from repro.experiments.runner import (ExperimentSuite, mean_speedups,
+                                      scaled_fig11_machine)
+from repro.machine.descriptor import (fig8_machine, fig9_machine,
+                                      fig10_machine)
 from repro.toolchain import Model
 
 _MODELS = [Model.SUPERBLOCK, Model.CMOV, Model.FULLPRED]
@@ -88,7 +91,12 @@ def render_table3(stats: dict[str, dict[Model, tuple[int, int, float]]]
 
 
 def render_all(suite: ExperimentSuite) -> str:
-    """Every figure and table, in paper order."""
+    """Every figure and table, in paper order, planned once up front
+    (the tables read Figure 8's machine)."""
+    machines = (fig8_machine(), fig9_machine(), fig10_machine(),
+                scaled_fig11_machine())
+    suite.execute_plan([need for machine in machines
+                        for need in suite.speedup_needs(machine)])
     sections = [
         render_speedup_figure(
             suite.figure8(),

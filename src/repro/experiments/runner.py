@@ -9,10 +9,14 @@ with the emulation cost amortized across processor models.
 The pipeline itself lives in :class:`repro.engine.stages.PipelineContext`:
 stages are memoized under stable content digests and, when ``cache_dir``
 is set, persisted to a content-addressed artifact store so a repeated
-figure run performs zero compilations and emulations.  ``jobs > 1``
-fans the compile+emulate and trace x machine simulate work across a
-process pool via the DAG scheduler, with worker failures feeding the
-suite's ``degrade`` quarantine.
+figure run performs zero compilations and emulations.
+
+The suite owns the one job planner: figures, sweeps and service jobs
+state their work as :class:`Need` objects, :meth:`ExperimentSuite.plan`
+builds the prepare -> compile+emulate -> simulate DAG minus its stored
+nodes, and :meth:`ExperimentSuite.execute_plan` runs it at any ``jobs``
+(in-process when serial), feeding failures to the ``degrade``
+quarantine.  Queries then only read; without a store they compute.
 
 Speedups divide the 1-issue baseline (superblock) cycle count by the
 evaluated configuration's cycle count, as in Section 4.1.
@@ -23,24 +27,24 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from repro.emu.memory import EmulationFault
 from repro.emu.trace import ExecutionResult
+from repro.engine import workers
 from repro.engine.metrics import PipelineMetrics
 from repro.engine.recovery.journal import RunJournal, verify_completed
-from repro.engine.recovery.retry import RetryPolicy, is_transient
+from repro.engine.recovery.retry import RetryPolicy
 from repro.engine.scheduler import Job, JobFailure, execute_jobs
-from repro.engine.stages import PipelineContext, RunSummary
+from repro.engine.stages import PipelineContext
 from repro.engine.store import ArtifactStore
-from repro.engine.workers import (JobSpec, compile_emulate,
-                                  prepare_workload, simulate)
+from repro.engine.workers import JobSpec
 from repro.ir.function import IRError
 from repro.machine.descriptor import (CacheConfig, MachineDescription,
                                       fig8_machine, fig9_machine,
                                       fig10_machine, scalar_machine)
-from repro.robustness.differential import assert_equivalent, values_differ
-from repro.robustness.errors import ReproError, classify_exception
+from repro.robustness.differential import assert_equivalent
+from repro.robustness.errors import ReproError
 from repro.robustness.report import WorkloadFailure, format_failures
 from repro.sim.pipeline import SimulationStats
 from repro.toolchain import Model, ToolchainOptions
@@ -62,6 +66,22 @@ def scaled_fig11_machine() -> MachineDescription:
                            issue_width=8, branch_issue_limit=1)
     return m.with_real_caches(CacheConfig(size_bytes=1024),
                               CacheConfig(size_bytes=2048))
+
+
+#: task ids of needs (figure triples, sweep points): what ``tasks_total``
+#: and ``repro watch`` count, unlike the prepare/compile tasks
+PROGRESS_PREFIXES = ("simulate:", "sweep:")
+
+
+@dataclass(frozen=True)
+class Need:
+    """One journaled unit of planned work: simulate every (workload,
+    model) pair under ``machine``."""
+
+    task_id: str
+    machine: MachineDescription
+    workloads: tuple[Workload, ...]
+    models: tuple[Model, ...]
 
 
 @dataclass
@@ -93,7 +113,7 @@ class ExperimentSuite:
 
     ``cache_dir`` attaches the content-addressed artifact store (None
     keeps everything in-memory, as hermetic tests expect); ``jobs``
-    selects the process-pool width for the prefetch DAG (1 = serial,
+    selects the process-pool width for the job DAG (1 = serial,
     in-process).  Parallel execution communicates through the store, so
     ``jobs > 1`` without a ``cache_dir`` gets a throwaway temp store.
 
@@ -143,6 +163,12 @@ class ExperimentSuite:
             max_steps=self.max_steps, paranoid=self.paranoid,
             wall_clock_budget=self.wall_clock_budget, store=store,
             engine=self.engine, jobs=self.jobs)
+        #: the configuration every planned job runs under
+        self._spec = JobSpec(
+            cache_dir=self.cache_dir, scale=self.scale,
+            max_steps=self.max_steps, options=self.options,
+            paranoid=self.paranoid,
+            wall_clock_budget=self.wall_clock_budget, engine=self.engine)
         self._by_name = {w.name: w for w in self.workloads}
         self.failures: list[WorkloadFailure] = []
         self._failed: set[str] = set()
@@ -198,19 +224,19 @@ class ExperimentSuite:
                              f"verification (recomputed)")
         return ", ".join(parts)
 
-    def _journal_artifacts(self, pairs) -> list[tuple[str, str, str]]:
-        store = self.ctx.store
-        return [(kind, key, store.digest_of(kind, key) or "")
-                for kind, key in pairs]
-
-    def _journal_finish(self, task: str, pairs) -> None:
-        if self.journal is not None:
-            self.journal.task_finish(task, self._journal_artifacts(pairs))
+    def resumed_progress(self) -> int:
+        """Journal-verified tasks of the kinds ``tasks_total`` counts."""
+        return sum(1 for task in self.resumed_verified
+                   if task.startswith(PROGRESS_PREFIXES))
 
     def _on_job_complete(self, job: Job, _result) -> None:
-        """Scheduler callback: make each pool job's completion durable."""
+        """Scheduler callback: make each job's completion durable."""
         self._journaled.add(job.job_id)
-        self._journal_finish(job.job_id, job.artifacts)
+        if self.journal is not None:
+            store = self.ctx.store
+            self.journal.task_finish(job.job_id, [
+                (kind, key, store.digest_of(kind, key) or "")
+                for kind, key in job.artifacts])
 
     @property
     def metrics(self) -> PipelineMetrics:
@@ -258,108 +284,119 @@ class ExperimentSuite:
         """Human-readable block describing degraded workloads."""
         return format_failures(self.failures)
 
-    # ----- parallel prefetch ----------------------------------------------
+    # ----- planning ---------------------------------------------------------
 
-    def _job_spec(self, name: str, model: Model,
-                  machine: MachineDescription) -> JobSpec:
-        return JobSpec(cache_dir=self.cache_dir, workload=name,
-                       model_name=model.name, machine=machine,
-                       scale=self.scale, options=self.options,
-                       max_steps=self.max_steps, paranoid=self.paranoid,
-                       wall_clock_budget=self.wall_clock_budget,
-                       engine=self.engine)
+    def need(self, workload: Workload, model: Model,
+             machine: MachineDescription) -> Need:
+        """One figure triple (its own task, so ``degrade`` mode
+        quarantines only the workload whose job failed)."""
+        skey = self.ctx.stats_key(workload, model, machine)
+        return Need(f"simulate:{workload.name}:{model.name}:{skey[:12]}",
+                    machine, (workload,), (model,))
 
-    def prefetch(self, targets: list[
-            tuple[MachineDescription, tuple[Model, ...]]]) -> None:
-        """Populate the artifact store for the exact (machine, models)
-        pairs a figure query will consume.
+    def figure_needs(self, machine: MachineDescription,
+                     models: tuple[Model, ...] = tuple(Model)
+                     ) -> list[Need]:
+        """Every workload under ``models`` on ``machine``."""
+        return [self.need(w, model, machine)
+                for w in self.workloads for model in models]
 
-        Builds the three-stage job DAG (prepare -> compile+emulate ->
-        simulate), skips any node whose artifact is already stored, and
-        fans the rest across ``jobs`` pool workers.  The plan is
-        per-machine precise — the speedup figures need all three models
-        on the evaluated machine but only SUPERBLOCK on the scalar
-        baseline, and prefetching more would make a warm serial cache
-        look cold to the parallel path.  No-op when running serially or
-        without a store.
+    def speedup_needs(self, machine: MachineDescription,
+                      models: tuple[Model, ...] = tuple(Model)
+                      ) -> list[Need]:
+        """A speedup query: ``models`` on ``machine`` plus the scalar
+        superblock baseline (the denominator)."""
+        return self.figure_needs(machine, models) + self.figure_needs(
+            scalar_machine(), (Model.SUPERBLOCK,))
+
+    def plan(self, needs: Iterable[Need]) -> tuple[list[Job], set[str]]:
+        """The CAS-keyed job DAG for ``needs``; returns (jobs, warm ids).
+
+        Layers: ``prepare:{w}`` (frontend + profile), then
+        ``compile:{w}:{model}:{key12}`` (compile + emulate, once per
+        compile key, so machines sharing a schedule digest share one
+        trace), then one simulate job per need.  A node whose artifacts
+        are stored is warm and gets no job.  Prepare nodes are checked
+        even for warm needs, so resume recomputes a corrupted profile.
+        Workloads quarantined by ``degrade`` mode are left out.
         """
-        store = self.ctx.store
-        if self.jobs <= 1 or store is None:
-            return
-        jobs: list[Job] = []
-        job_ids: set[str] = set()
-        for w in self.workloads:
-            if w.name in self._failed:
+        ctx, store = self.ctx, self.ctx.store
+        jobs: dict[str, Job] = {}
+        warm: set[str] = set()
+
+        def node(job_id: str, fn, workloads, models, machine,
+                 deps: tuple[str, ...], stage: str,
+                 artifacts) -> tuple[str, ...]:
+            """Plan one node unless planned or warm; its id as a dep."""
+            if job_id not in jobs and job_id not in warm:
+                if all(store.contains(kind, key)
+                       for kind, key in artifacts):
+                    warm.add(job_id)
+                else:
+                    jobs[job_id] = Job(
+                        job_id=job_id, fn=fn,
+                        args=(self._spec.bind(workloads, models, machine),),
+                        deps=deps, stage=stage, artifacts=tuple(artifacts),
+                        workload=workloads[0].name if len(workloads) == 1
+                        else None)
+            return (job_id,) if job_id in jobs else ()
+
+        def prepare(w: Workload) -> tuple[str, ...]:
+            return node(f"prepare:{w.name}", workers.prepare_workload,
+                        (w,), (), None, (), "prepare",
+                        (("frontend", ctx.frontend_key(w)),
+                         ("profile", ctx.profile_key(w))))
+
+        def compile_emulate(w: Workload, model: Model,
+                            machine: MachineDescription) -> tuple[str, ...]:
+            key = ctx.compile_key(w, model, machine)
+            return node(f"compile:{w.name}:{model.name}:{key[:12]}",
+                        workers.compile_emulate, (w,), (model,), machine,
+                        prepare(w), "compile+emulate",
+                        (("compiled", key),
+                         ("execution",
+                          ctx.execution_key(w, model, machine))))
+
+        for need in needs:
+            if need.task_id in jobs or need.task_id in warm \
+                    or any(w.name in self._failed for w in need.workloads):
                 continue
-            prep_id = f"prepare:{w.name}"
-            prep_needed = False
-            for machine, models in targets:
-                ce_done: set[str] = set()
-                for model in models:
-                    skey = self.ctx.stats_key(w, model, machine)
-                    if store.contains("stats", skey):
-                        continue
-                    ce_key = self.ctx.compile_key(w, model, machine)
-                    exec_key = self.ctx.execution_key(w, model, machine)
-                    ce_id = f"compile:{w.name}:{model.name}:{ce_key[:12]}"
-                    ce_cached = store.contains("compiled", ce_key) \
-                        and store.contains("execution", exec_key)
-                    if ce_id not in ce_done and ce_id not in job_ids \
-                            and not ce_cached:
-                        prep_needed = True
-                        jobs.append(Job(
-                            job_id=ce_id, fn=compile_emulate,
-                            args=(self._job_spec(w.name, model, machine),),
-                            deps=(prep_id,), workload=w.name,
-                            stage="compile+emulate",
-                            artifacts=(("compiled", ce_key),
-                                       ("execution", exec_key))))
-                        job_ids.add(ce_id)
-                    ce_done.add(ce_id)
-                    sim_deps = (ce_id,) if ce_id in job_ids else ()
-                    sim_id = f"simulate:{w.name}:{model.name}:{skey[:12]}"
-                    if sim_id not in job_ids:
-                        jobs.append(Job(
-                            job_id=sim_id, fn=simulate,
-                            args=(self._job_spec(w.name, model, machine),),
-                            deps=sim_deps, workload=w.name,
-                            stage="simulate",
-                            artifacts=(("stats", skey),)))
-                        job_ids.add(sim_id)
-            if prep_needed:
-                first_machine, first_models = targets[0]
-                jobs.append(Job(
-                    job_id=prep_id, fn=prepare_workload,
-                    args=(self._job_spec(w.name, first_models[0],
-                                         first_machine),),
-                    workload=w.name, stage="prepare"))
-                job_ids.add(prep_id)
-        if not jobs:
-            return
-        self.execute_plan(jobs)
+            deps: dict[str, None] = {}
+            stats = []
+            for w in need.workloads:
+                prepare(w)
+                for model in need.models:
+                    skey = ctx.stats_key(w, model, need.machine)
+                    stats.append(("stats", skey))
+                    if not store.contains("stats", skey):
+                        deps.update(dict.fromkeys(
+                            compile_emulate(w, model, need.machine)))
+            node(need.task_id, workers.simulate_point, need.workloads,
+                 need.models, need.machine, tuple(deps), "simulate", stats)
+        return list(jobs.values()), warm
 
-    def execute_plan(self, jobs: list[Job]) -> None:
-        """Journal and execute an externally built job DAG.
-
-        The sweep runner constructs its own plan (point jobs instead of
-        per-triple simulate jobs) but shares the suite's dispatch path:
-        every job's start/finish lands in the run journal, pool-worker
-        counters merge into :attr:`metrics`, and failures feed the
-        suite's failure policy.  Runs through the scheduler even at
-        ``jobs=1`` so the journal is identical at any parallelism.
-        """
+    def execute_plan(self, needs: Iterable[Need]) -> set[str]:
+        """Plan ``needs``, then journal and execute the DAG (serially on
+        this suite's own context); returns the warm ids.  Job counters
+        merge into :attr:`metrics`, failures feed the failure policy.
+        A no-op without a store: there is nothing to skip or journal."""
+        if self.ctx.store is None:
+            return set()
+        jobs, warm = self.plan(needs)
         if not jobs:
-            return
+            return warm
         self.metrics.jobs_dispatched += len(jobs)
         if self.journal is not None:
-            for job in jobs:
-                self.journal.task_start(job.job_id)
+            self.journal.task_starts([job.job_id for job in jobs])
+        workers.adopt(self._spec, self.ctx)
         outcome = execute_jobs(jobs, max_workers=self.jobs,
                                retry=self.retry, metrics=self.metrics,
-                               on_complete=self._on_job_complete)
+                               on_complete=self._on_job_complete,
+                               fail_fast=self.mode != "degrade")
         for counters in outcome.results.values():
             self.metrics.merge_dict(counters)
         self._absorb_job_failures(outcome.failures)
+        return warm
 
     def _absorb_job_failures(self, failures: list[JobFailure]) -> None:
         """Map scheduler failures onto the suite's failure policy."""
@@ -386,38 +423,15 @@ class ExperimentSuite:
 
     def run(self, name: str, model: Model,
             machine: MachineDescription) -> WorkloadRun:
-        """Simulate one (workload, model, machine) triple (memoized).
-
-        Against a warm artifact store this performs no compilation,
-        emulation or simulation — the :class:`RunSummary` is served
-        straight from the store.
-        """
+        """Read one (workload, model, machine) triple, planning it first
+        unless stored: a warm store serves it with no compilation,
+        emulation or simulation."""
         w = self._workload(name)
-        task = None
-        if self.journal is not None:
-            skey = self.ctx.stats_key(w, model, machine)
-            task = f"simulate:{name}:{model.name}:{skey[:12]}"
-        if task is not None and task not in self._journaled:
-            self.journal.task_start(task)
-            try:
-                summary: RunSummary = self.ctx.run_summary(
-                    w, model, machine)
-            except Exception as raw:
-                # Journal and re-raise the *classified* failure, so
-                # both the journal record and whoever catches it (the
-                # CLI's exit-code mapping, the experiment service) see
-                # a typed taxonomy member.
-                exc = classify_exception(raw)
-                self.journal.task_fail(
-                    task, type(exc).__name__, str(exc),
-                    transient=is_transient(exc))
-                if exc is raw:
-                    raise
-                raise exc from raw
-            self._journaled.add(task)
-            self._journal_finish(task, (("stats", skey),))
-        else:
-            summary = self.ctx.run_summary(w, model, machine)
+        store = self.ctx.store
+        if store is not None and not store.contains(
+                "stats", self.ctx.stats_key(w, model, machine)):
+            self.execute_plan([self.need(w, model, machine)])
+        summary = self.ctx.run_summary(w, model, machine)
         return WorkloadRun(workload=name, model=model, machine=machine,
                            stats=summary.stats,
                            return_value=summary.return_value,
@@ -467,8 +481,7 @@ class ExperimentSuite:
     def speedups(self, machine: MachineDescription
                  ) -> dict[str, dict[Model, float]]:
         """Per-benchmark speedups vs the 1-issue baseline (Figs 8-11)."""
-        self.prefetch([(machine, tuple(Model)),
-                       (scalar_machine(), (Model.SUPERBLOCK,))])
+        self.execute_plan(self.speedup_needs(machine))
         table: dict[str, dict[Model, float]] = {}
         for w in self.workloads:
             if w.name in self._failed:
@@ -484,7 +497,7 @@ class ExperimentSuite:
     def dynamic_counts(self) -> dict[str, dict[Model, int]]:
         """Executed dynamic instruction counts (Table 2 data)."""
         machine = fig8_machine()
-        self.prefetch([(machine, tuple(Model))])
+        self.execute_plan(self.figure_needs(machine))
         table: dict[str, dict[Model, int]] = {}
         for w in self.workloads:
             if w.name in self._failed:
@@ -502,7 +515,7 @@ class ExperimentSuite:
         """(branches, mispredictions, rate) per model (Table 3 data)."""
         if machine is None:
             machine = fig8_machine()
-        self.prefetch([(machine, tuple(Model))])
+        self.execute_plan(self.figure_needs(machine))
 
         def row_for(w: Workload) -> dict[Model, tuple[int, int, float]]:
             row = {}
@@ -535,11 +548,6 @@ class ExperimentSuite:
 
     def figure11(self):
         return self.speedups(scaled_fig11_machine())
-
-
-#: retained name for the seed's scalar comparison (now shared with the
-#: differential oracle in ``repro.robustness.differential``)
-_differs = values_differ
 
 
 def mean_speedups(table: dict[str, dict[Model, float]]

@@ -283,7 +283,10 @@ def _inject_kill_resume() -> ChaosReport:
             os.kill(child.pid, signal.SIGKILL)
         child.join(timeout=_DEADLINE_SECONDS)
 
-        completed = len(replay_journal(jpath).completed)
+        # Simulate tasks only: ``resumed_tasks`` counts those, not the
+        # prepare/compile tasks feeding them.
+        completed = sum(1 for task in replay_journal(jpath).completed
+                        if task.startswith("simulate:"))
         outcome = execute_job(spec, cache_dir, run_id, jobs=1)
         reference = execute_job(spec, ref_dir, "REF", jobs=1)
         # 3 models + the 1-issue baseline = 4 simulate tasks total.

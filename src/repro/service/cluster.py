@@ -52,15 +52,17 @@ from repro.engine.recovery.leases import (ShardLease, ShardLeaseStore,
 from repro.engine.recovery.locks import (FileLock, LeaseObserver,
                                          _pid_alive, new_owner_token)
 from repro.engine.recovery.retry import RetryPolicy, is_transient
+from repro.engine.workers import JobSpec, simulate_point
 from repro.fuzz.runner import shard_ranges
 from repro.machine.descriptor import scalar_machine
 from repro.robustness import errors as _errors
 from repro.robustness.errors import (DeadlineExceededError,
                                      LeaseFencedError, ReproError,
                                      classify_exception)
-from repro.sweep.runner import (SweepOutcome, make_point_spec, run_sweep,
-                                simulate_point)
+from repro.sweep.runner import (SweepOutcome, run_sweep, sweep_models,
+                                sweep_workloads)
 from repro.sweep.spec import SweepSpec
+from repro.toolchain import Model
 
 logger = logging.getLogger("repro.service.cluster")
 
@@ -435,7 +437,12 @@ def execute_shard(cache_dir: str, work: dict, ops,
     spec = SweepSpec.from_dict(manifest["spec"])
     by_index = {p.index: p for p in spec.expand()}
     indices = shard_points(manifest, work["shard"])
-    engine = manifest.get("engine", "vector")
+    # The planner's own configuration for this sweep, so a shard writes
+    # exactly the artifacts a single-node run would.
+    config = JobSpec(cache_dir=cache_dir, scale=spec.scale,
+                     max_steps=spec.max_steps,
+                     engine=manifest.get("engine", "vector"))
+    workloads = sweep_workloads(spec)
     pump = _HeartbeatPump(ops, work["campaign"], work["lease"],
                           worker_id,
                           float(manifest.get("heartbeat_interval",
@@ -445,15 +452,13 @@ def execute_shard(cache_dir: str, work: dict, ops,
     try:
         if work["shard"] == 0:
             # Shard 0 carries the campaign's scalar baseline.
-            merged.merge_dict(simulate_point(make_point_spec(
-                spec, cache_dir, scalar_machine(), ("superblock",),
-                engine=engine)))
+            merged.merge_dict(simulate_point(config.bind(
+                workloads, (Model.SUPERBLOCK,), scalar_machine())))
         for index in indices:
             if pump.fence is not None:
                 raise pump.fence
-            merged.merge_dict(simulate_point(make_point_spec(
-                spec, cache_dir, by_index[index].machine,
-                engine=engine)))
+            merged.merge_dict(simulate_point(config.bind(
+                workloads, sweep_models(spec), by_index[index].machine)))
         if pump.fence is not None:
             raise pump.fence
     finally:

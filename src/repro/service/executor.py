@@ -33,16 +33,10 @@ from repro.experiments.runner import ExperimentSuite
 from repro.machine.descriptor import scalar_machine
 from repro.robustness.errors import (DeadlineExceededError,
                                      EmulationTimeout)
-from repro.service.spec import MODEL_NAMES, ServiceJobSpec
+from repro.service.spec import ServiceJobSpec
 from repro.sweep.runner import run_sweep
 from repro.sweep.spec import SweepSpec
-from repro.toolchain import Model
-
-#: spec model identifiers <-> toolchain models (Model.value is a
-#: display string, not a wire name)
-_MODEL_BY_NAME = {"superblock": Model.SUPERBLOCK, "cmov": Model.CMOV,
-                  "fullpred": Model.FULLPRED}
-_NAME_BY_MODEL = {m: n for n, m in _MODEL_BY_NAME.items()}
+from repro.toolchain import MODEL_NAMES, Model
 
 
 @dataclass
@@ -54,7 +48,8 @@ class ExecutionOutcome:
     counters: dict
     #: pool-sickness signal for the circuit breaker
     crash_evidence: bool
-    #: journal-verified tasks skipped on resume (zero recompute)
+    #: journal-verified simulate/sweep tasks skipped on resume (zero
+    #: recompute); the kind ``tasks_total`` counts
     resumed_tasks: int
     wall_seconds: float
 
@@ -78,12 +73,12 @@ def _crash_evidence(counters: dict) -> bool:
                 or counters.get("workers_lost", 0))
 
 
-def _models(spec: ServiceJobSpec) -> list[Model]:
+def _models(spec: ServiceJobSpec) -> tuple[Model, ...]:
     # Canonical order regardless of submission order: the result JSON
     # must not depend on how the client spelled the list.
     requested = set(spec.models)
-    return [_MODEL_BY_NAME[name] for name in MODEL_NAMES
-            if name in requested]
+    return tuple(Model[name.upper()] for name in MODEL_NAMES
+                 if name in requested)
 
 
 def _measure(suite: ExperimentSuite, spec: ServiceJobSpec) -> dict:
@@ -92,10 +87,10 @@ def _measure(suite: ExperimentSuite, spec: ServiceJobSpec) -> dict:
         table = suite.speedups(machine)
         return {"kind": "figures", "machine": machine.name,
                 "scale": spec.scale,
-                "speedups": {name: {_NAME_BY_MODEL[model]:
-                                    round(value, 6)
+                "speedups": {name: {model.name.lower(): round(value, 6)
                                     for model, value in row.items()}
                              for name, row in sorted(table.items())}}
+    suite.execute_plan(suite.speedup_needs(machine, _models(spec)))
     rows: dict[str, dict] = {}
     for w in spec.workloads():
         base = suite.run(w.name, Model.SUPERBLOCK,
@@ -104,7 +99,7 @@ def _measure(suite: ExperimentSuite, spec: ServiceJobSpec) -> dict:
         for model in _models(spec):
             run = suite.run(w.name, model, machine)
             stats = run.stats
-            per_model[_NAME_BY_MODEL[model]] = {
+            per_model[model.name.lower()] = {
                 "cycles": stats.cycles,
                 "speedup": round(base / stats.cycles, 6),
                 "instructions": stats.executed_instructions,
@@ -173,7 +168,7 @@ def execute_job(spec: ServiceJobSpec, cache_dir: str, run_id: str,
         result_json=result_to_json(result),
         counters=counters,
         crash_evidence=_crash_evidence(counters),
-        resumed_tasks=len(suite.resumed_verified),
+        resumed_tasks=suite.resumed_progress(),
         wall_seconds=time.monotonic() - start)
 
 

@@ -54,6 +54,7 @@ from typing import Callable
 
 from repro.engine.metrics import PipelineMetrics
 from repro.engine.recovery.journal import journal_path, tail_records
+from repro.experiments.runner import PROGRESS_PREFIXES
 from repro.robustness.errors import (ReproError, ServiceOverloadedError,
                                      classify_exception)
 from repro.service.breaker import BreakerConfig, CircuitBreaker
@@ -76,7 +77,7 @@ _WATCH_TYPES = ("run-start", "run-resume", "task-start", "task-finish",
 def _is_progress(task: str) -> bool:
     """Tasks that advance the watch progress counter: one per
     simulated triple (bench/figures) or per sweep point."""
-    return task.startswith(("simulate:", "sweep:"))
+    return task.startswith(PROGRESS_PREFIXES)
 
 
 @dataclass(frozen=True)

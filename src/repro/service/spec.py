@@ -16,19 +16,16 @@ with different deadlines still cost one execution.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from repro.engine.keys import stable_digest
 from repro.machine.descriptor import MachineDescription
 from repro.robustness.errors import ReproError
-from repro.workloads.base import Workload, get_workload
+from repro.toolchain import MODEL_NAMES
+from repro.workloads.base import Workload, get_workload, source_workload
 
 #: job kinds the service executes
 KINDS = ("source", "bench", "figures", "sweep")
-
-#: model names accepted in a spec, in canonical order
-MODEL_NAMES = ("superblock", "cmov", "fullpred")
 
 
 @dataclass(frozen=True)
@@ -169,11 +166,6 @@ class ServiceJobSpec:
         if self.kind == "bench":
             return [get_workload(self.workload)]
         if self.kind == "source":
-            name = "svc-" + hashlib.sha256(
-                self.source.encode()).hexdigest()[:12]
-            return [Workload(name=name,
-                             description="service source submission",
-                             source=self.source,
-                             build_inputs=lambda _scale: {})]
+            return [source_workload(self.source)]
         from repro.workloads.base import all_workloads
         return all_workloads()

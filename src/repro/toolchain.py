@@ -69,6 +69,11 @@ class Model(enum.Enum):
                 Model.FULLPRED: ISALevel.FULL}[self]
 
 
+#: spec/wire spelling of each model, in canonical order; the model is
+#: ``Model[name.upper()]`` (``Model.value`` is a display string)
+MODEL_NAMES = tuple(m.name.lower() for m in Model)
+
+
 @dataclass(frozen=True)
 class ToolchainOptions:
     """Knobs for ablation experiments; defaults match the paper.

@@ -10,6 +10,7 @@ for the scaling substitution).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -102,6 +103,19 @@ def all_workloads() -> list[Workload]:
 def workload_names() -> list[str]:
     _ensure_loaded()
     return list(_REGISTRY)
+
+
+#: name prefix of :func:`source_workload` workloads (never registered)
+SOURCE_PREFIX = "svc-"
+
+
+def source_workload(source: str) -> Workload:
+    """An unregistered workload running MiniC ``source`` on no inputs,
+    named by digest so any process rebuilds it from the text alone."""
+    return Workload(name=SOURCE_PREFIX + hashlib.sha256(
+                        source.encode()).hexdigest()[:12],
+                    description="service source submission",
+                    source=source, build_inputs=lambda _scale: {})
 
 
 def _ensure_loaded() -> None:

@@ -20,6 +20,12 @@ def _suite(cache_dir, **kwargs):
                            cache_dir=str(cache_dir), **kwargs)
 
 
+def _simulations(tasks):
+    """The simulate tasks among journaled ones (the journal also holds
+    the prepare and compile+emulate tasks feeding them)."""
+    return {task for task in tasks if task.startswith("simulate:")}
+
+
 def test_no_cache_means_no_journal():
     suite = ExperimentSuite(workloads=[get_workload("wc")], scale=SCALE)
     assert suite.journal is None and suite.run_id is None
@@ -33,10 +39,14 @@ def test_run_writes_journal_records(tmp_path):
     suite.speedups(fig8_machine())
     suite.close_journal()
     state = replay_journal(journal_path(tmp_path / "runs", run_id))
-    assert len(state.completed) == TASKS_PER_WORKLOAD
+    simulations = _simulations(state.completed)
+    assert len(simulations) == TASKS_PER_WORKLOAD
+    assert all(task.startswith("simulate:wc:") for task in simulations)
     assert state.finished
     for task, artifacts in state.completed.items():
-        assert task.startswith("simulate:wc:")
+        assert task.startswith(("prepare:wc", "compile:wc:",
+                                "simulate:wc:"))
+        assert artifacts
         assert all(len(sha) == 64 for _, _, sha in artifacts)
 
 
@@ -47,7 +57,8 @@ def test_resume_full_run_recomputes_nothing(tmp_path):
     first.close_journal()
 
     resumed = _suite(tmp_path, run_id=run_id, resume=True)
-    assert len(resumed.resumed_verified) == TASKS_PER_WORKLOAD
+    assert len(_simulations(resumed.resumed_verified)) == \
+        TASKS_PER_WORKLOAD
     assert not resumed.resumed_invalid
     again = resumed.speedups(fig8_machine())
     resumed.close_journal()
@@ -66,7 +77,7 @@ def test_resume_partial_run_executes_only_the_frontier(tmp_path):
     partial.journal.close()  # no run-finish: the crash analogue
 
     resumed = _suite(tmp_path, run_id=run_id, resume=True)
-    assert len(resumed.resumed_verified) == 1
+    assert len(_simulations(resumed.resumed_verified)) == 1
     table = resumed.speedups(fig8_machine())
     resumed.close_journal()
     assert resumed.metrics.stages["simulate"].invocations == \
@@ -85,7 +96,9 @@ def test_resume_reverifies_artifacts_and_recomputes_corruption(tmp_path):
     first.close_journal()
     # Corrupt one completed stats artifact behind the journal's back.
     state = replay_journal(journal_path(tmp_path / "runs", run_id))
-    kind, key, _sha = next(iter(state.completed.values()))[0]
+    task = next(iter(sorted(_simulations(state.completed))))
+    kind, key, _sha = state.completed[task][0]
+    assert kind == "stats"
     path = first.ctx.store._path(kind, key)
     blob = bytearray(path.read_bytes())
     blob[-1] ^= 0x10
@@ -93,12 +106,58 @@ def test_resume_reverifies_artifacts_and_recomputes_corruption(tmp_path):
 
     resumed = _suite(tmp_path, run_id=run_id, resume=True)
     assert len(resumed.resumed_invalid) == 1
-    assert len(resumed.resumed_verified) == TASKS_PER_WORKLOAD - 1
+    assert task in resumed.resumed_invalid
+    assert len(_simulations(resumed.resumed_verified)) == \
+        TASKS_PER_WORKLOAD - 1
     table = resumed.speedups(fig8_machine())
     resumed.close_journal()
     assert resumed.metrics.stages["simulate"].invocations == 1
     assert set(table["wc"]) == set(Model)
     assert "1 failed verification" in resumed.journal_summary()
+
+
+def test_resume_recomputes_a_corrupted_prepare_artifact(tmp_path):
+    first = _suite(tmp_path)
+    run_id = first.run_id
+    table = first.speedups(fig8_machine())
+    first.close_journal()
+    # Prepare tasks declare their frontend + profile artifacts, so
+    # resume re-verifies them like any other task's.
+    state = replay_journal(journal_path(tmp_path / "runs", run_id))
+    declared = {kind: key for kind, key, _sha
+                in state.completed["prepare:wc"]}
+    assert set(declared) == {"frontend", "profile"}
+    path = first.ctx.store._path("profile", declared["profile"])
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 0x10
+    path.write_bytes(bytes(blob))
+
+    resumed = _suite(tmp_path, run_id=run_id, resume=True)
+    assert set(resumed.resumed_invalid) == {"prepare:wc"}
+    again = resumed.speedups(fig8_machine())
+    resumed.close_journal()
+    assert repr(again) == repr(table)
+    # Only the invalid task ran again: one profile, nothing downstream.
+    assert resumed.metrics.stages["profile"].invocations == 1
+    for stage in ("compile", "emulate", "simulate"):
+        assert resumed.metrics.stages[stage].invocations == 0
+    assert resumed.ctx.store.contains("profile", declared["profile"])
+    assert "1 failed verification" in resumed.journal_summary()
+
+
+def test_serial_and_parallel_runs_journal_identical_task_sets(tmp_path):
+    completed = []
+    for jobs in (1, 2):
+        cache_dir = tmp_path / f"jobs{jobs}"
+        suite = _suite(cache_dir, jobs=jobs)
+        suite.speedups(fig8_machine())
+        suite.close_journal()
+        completed.append(set(replay_journal(journal_path(
+            cache_dir / "runs", suite.run_id)).completed))
+    assert completed[0] == completed[1]
+    # 1 prepare + 4 compile+emulate (3 models + the scalar baseline's)
+    # + 4 simulate tasks.
+    assert len(completed[0]) == 1 + 2 * TASKS_PER_WORKLOAD
 
 
 def test_resume_unknown_run_id_raises_typed(tmp_path):

@@ -68,3 +68,46 @@ def test_service_end_to_end_with_real_pipeline(tmp_path):
         assert metrics["service_jobs_done"] == 1
         assert json.loads(result)["workloads"]["wc"]["baseline_cycles"] \
             > 0
+
+
+_SOURCE = """
+int main() {
+  int i;
+  int s;
+  s = 0;
+  for (i = 0; i < 300; i = i + 1) {
+    if (i % 3 == 0) s = s + i;
+    else s = s - 1;
+  }
+  return s;
+}
+"""
+
+
+@pytest.mark.parametrize("spec", [
+    SPEC,
+    ServiceJobSpec(kind="source", source=_SOURCE, max_steps=2_000_000),
+], ids=["bench", "source"])
+def test_bench_and_source_jobs_plan_at_any_jobs(tmp_path, monkeypatch,
+                                                spec):
+    """Bench and source jobs go through the planned DAG: identical
+    results serially and across the pool, and ``jobs=2`` really
+    dispatches the plan to pool workers (source workloads included,
+    which the registry cannot rebuild by name)."""
+    from repro.engine import scheduler
+    pooled_jobs = []
+    real_pool = scheduler._execute_pool
+
+    def spy(order, *args):
+        pooled_jobs.extend(job.job_id for job in order)
+        return real_pool(order, *args)
+
+    monkeypatch.setattr(scheduler, "_execute_pool", spy)
+    serial = execute_job(spec, str(tmp_path / "serial"), "RUN-1", jobs=1)
+    assert not pooled_jobs
+    assert serial.counters["jobs_dispatched"] > 0
+    pooled = execute_job(spec, str(tmp_path / "pooled"), "RUN-2", jobs=2)
+    assert pooled.result_json == serial.result_json
+    assert any(job.startswith("simulate:") for job in pooled_jobs)
+    assert pooled.counters["jobs_dispatched"] == \
+        serial.counters["jobs_dispatched"]

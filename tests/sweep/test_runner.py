@@ -79,8 +79,8 @@ def test_crash_then_resume_recomputes_zero_completed_points(
         tmp_path, monkeypatch):
     """A run that dies mid-sweep resumes to byte-identical output with
     zero recompute of the points its journal proved complete."""
-    import repro.sweep.runner as runner_mod
-    real = runner_mod.simulate_point
+    import repro.engine.workers as workers_mod
+    real = workers_mod.simulate_point
     calls = {"n": 0}
 
     def dying(spec):
@@ -89,11 +89,11 @@ def test_crash_then_resume_recomputes_zero_completed_points(
             raise ReproError("injected crash")  # non-transient: no retry
         return real(spec)
 
-    monkeypatch.setattr(runner_mod, "simulate_point", dying)
+    monkeypatch.setattr(workers_mod, "simulate_point", dying)
     with pytest.raises(ReproError, match="injected crash"):
         run_sweep(_spec(), cache_dir=str(tmp_path), jobs=1,
                   run_id="RCRASH")
-    monkeypatch.setattr(runner_mod, "simulate_point", real)
+    monkeypatch.setattr(workers_mod, "simulate_point", real)
     state = replay_journal(journal_path(tmp_path / "runs", "RCRASH"))
     done_before = {t for t in state.completed if t.startswith("sweep:")}
     assert done_before  # the crash landed mid-sweep
