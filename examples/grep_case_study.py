@@ -14,7 +14,7 @@ from repro.ir import Opcode
 from repro.ir.opcodes import OpCategory
 from repro.machine.descriptor import fig8_machine, scalar_machine
 from repro.toolchain import (Model, compile_for_model, frontend,
-                             run_compiled)
+                             run_compiled, schedule_for_machine)
 from repro.workloads import get_workload
 
 
@@ -50,11 +50,13 @@ def main() -> None:
     print(f"{'model':<20s}{'cycles':>8s}{'speedup':>9s}{'BR':>8s}"
           f"{'MP':>6s}{'preddef':>9s}{'cmov':>6s}{'logic':>7s}")
     for model in Model:
-        compiled = compile_for_model(base, model, profile, machine)
+        compiled = schedule_for_machine(
+            compile_for_model(base, model, profile), machine)
         result = run_compiled(compiled, inputs=inputs)
         if scalar_cycles is None:
-            scalar = compile_for_model(base, Model.SUPERBLOCK, profile,
-                                       scalar_machine())
+            scalar = schedule_for_machine(
+                compile_for_model(base, Model.SUPERBLOCK, profile),
+                scalar_machine())
             scalar_cycles = run_compiled(scalar, inputs=inputs).cycles
         stats = result.stats
         mix = static_mix(compiled.program)

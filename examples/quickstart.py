@@ -13,7 +13,7 @@ from repro.analysis.profile import Profile
 from repro.ir import format_function
 from repro.machine.descriptor import fig8_machine, scalar_machine
 from repro.toolchain import (Model, compile_for_model, frontend,
-                             run_compiled)
+                             run_compiled, schedule_for_machine)
 
 SOURCE = """
 int a[512];
@@ -60,11 +60,12 @@ def main() -> None:
 
     baseline = None
     for model in Model:
-        compiled = compile_for_model(base, model, profile, machine)
+        compiled = schedule_for_machine(
+            compile_for_model(base, model, profile), machine)
         result = run_compiled(compiled, inputs=inputs)
         if model is Model.SUPERBLOCK:
-            scalar = compile_for_model(base, model, profile,
-                                       scalar_machine())
+            scalar = schedule_for_machine(
+                compile_for_model(base, model, profile), scalar_machine())
             baseline = run_compiled(scalar, inputs=inputs).cycles
         stats = result.stats
         print(f"\n--- {model.value} ---")

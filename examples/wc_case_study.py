@@ -13,7 +13,7 @@ from repro.analysis.profile import Profile
 from repro.ir import format_block
 from repro.machine.descriptor import fig10_machine, scalar_machine
 from repro.toolchain import (Model, compile_for_model, frontend,
-                             run_compiled)
+                             run_compiled, schedule_for_machine)
 from repro.workloads import get_workload
 
 
@@ -43,11 +43,13 @@ def main() -> None:
 
     scalar_cycles = None
     for model in Model:
-        compiled = compile_for_model(base, model, profile, machine)
+        compiled = schedule_for_machine(
+            compile_for_model(base, model, profile), machine)
         result = run_compiled(compiled, inputs=inputs)
         if scalar_cycles is None:
-            scalar = compile_for_model(base, Model.SUPERBLOCK, profile,
-                                       scalar_machine())
+            scalar = schedule_for_machine(
+                compile_for_model(base, Model.SUPERBLOCK, profile),
+                scalar_machine())
             scalar_cycles = run_compiled(scalar, inputs=inputs).cycles
         stats = result.stats
         print("=" * 72)

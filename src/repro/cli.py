@@ -125,7 +125,7 @@ from repro.machine.descriptor import MachineDescription, scalar_machine
 from repro.robustness.errors import ReproError
 from repro.robustness.watchdog import EmulationWatchdog
 from repro.toolchain import (Model, ToolchainOptions, compile_for_model,
-                             frontend, run_compiled)
+                             frontend, run_compiled, schedule_for_machine)
 from repro.workloads import all_workloads, get_workload
 
 _MODELS = {"superblock": Model.SUPERBLOCK, "cmov": Model.CMOV,
@@ -344,8 +344,9 @@ def _cmd_compile(args) -> int:
     source = _read_source(args.file)
     base = frontend(source)
     profile = Profile.collect(base, inputs=None)
-    compiled = compile_for_model(base, _MODELS[args.model], profile,
-                                 _machine(args), _options(args))
+    compiled = schedule_for_machine(
+        compile_for_model(base, _MODELS[args.model], profile,
+                          _options(args)), _machine(args))
     _print_degradations(compiled)
     print(format_program(compiled.program))
     return 0
@@ -358,13 +359,15 @@ def _cmd_run(args) -> int:
     machine = _machine(args)
     model = _MODELS[args.model]
     options = _options(args)
-    compiled = compile_for_model(base, model, profile, machine, options)
+    compiled = schedule_for_machine(
+        compile_for_model(base, model, profile, options), machine)
     _print_degradations(compiled)
     result = run_compiled(compiled, inputs=None, watchdog=_watchdog(args),
                           engine=args.engine)
     scalar = run_compiled(
-        compile_for_model(base, Model.SUPERBLOCK, profile,
-                          scalar_machine(), options),
+        schedule_for_machine(
+            compile_for_model(base, Model.SUPERBLOCK, profile, options),
+            scalar_machine()),
         watchdog=_watchdog(args))
     stats = result.stats
     print(f"model              : {model.value}")
@@ -438,8 +441,8 @@ def _run_differential(workload, machine, args) -> None:
     profile = Profile.collect(base, inputs=inputs)
     options = _options(args)
     for model in Model:
-        compiled = compile_for_model(base, model, profile, machine,
-                                     options)
+        compiled = schedule_for_machine(
+            compile_for_model(base, model, profile, options), machine)
         assert_fastpath_equivalent(compiled, inputs=inputs,
                                    machine=machine,
                                    workload=workload.name)

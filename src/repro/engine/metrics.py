@@ -18,8 +18,10 @@ from dataclasses import dataclass, field
 
 from repro.engine.keys import KINDS, SCHEMA_VERSION
 
-#: pipeline stages with timed compute
-STAGES = ("frontend", "profile", "compile", "emulate", "simulate")
+#: pipeline stages with timed compute: ``lower`` runs the model's passes
+#: once per (workload, model), ``compile`` schedules that IR per machine
+STAGES = ("frontend", "profile", "lower", "compile", "emulate",
+          "simulate")
 
 
 @dataclass

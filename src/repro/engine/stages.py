@@ -1,12 +1,15 @@
 """The memoized, store-backed pipeline shared by suite and workers.
 
-A :class:`PipelineContext` owns the three-stage pipeline of the paper's
-methodology — compile per model, emulate to a trace, simulate per
-machine — with two levels of reuse:
+A :class:`PipelineContext` owns the pipeline of the paper's methodology
+— lower per model, schedule per machine, emulate to a trace, simulate
+per machine — with two levels of reuse:
 
 * an in-process memo (what :class:`ExperimentSuite` historically kept in
   ad-hoc dicts), now keyed by the stable digests of
-  :mod:`repro.engine.keys` instead of hand-picked tuple fields;
+  :mod:`repro.engine.keys` instead of hand-picked tuple fields.  The
+  lowered IR of each (profile, model) pair is memoized here only: every
+  machine's ``compiled`` artifact is scheduled from a clone of it, so a
+  cold run lowers each pair once however many machines it schedules;
 * an optional :class:`~repro.engine.store.ArtifactStore`, consulted
   before any computation and fed after it, so artifacts survive the
   process and are shared across processes.
@@ -37,8 +40,9 @@ from repro.robustness.errors import TraceIntegrityError
 from repro.robustness.integrity import check_trace_integrity
 from repro.robustness.watchdog import EmulationWatchdog
 from repro.sim.pipeline import SimulationStats, simulate_trace
-from repro.toolchain import (CompiledProgram, Model, ToolchainOptions,
-                             compile_for_model, frontend)
+from repro.toolchain import (CompiledProgram, LoweredProgram, Model,
+                             ToolchainOptions, compile_for_model, frontend,
+                             schedule_for_machine)
 from repro.workloads.base import Workload
 
 
@@ -89,6 +93,9 @@ class PipelineContext:
         self._options_digest = self.options.digest()
         self._frontend: dict[str, Program] = {}
         self._profile: dict[str, Profile] = {}
+        # Lowered IR keyed by (profile key, model): one lowering serves
+        # every machine's schedule, and nothing ever mutates it.
+        self._lowered: dict[tuple[str, Model], LoweredProgram] = {}
         self._compiled: dict[str, CompiledProgram] = {}
         self._execution: dict[str, ExecutionResult] = {}
         self._summary: dict[str, RunSummary] = {}
@@ -212,6 +219,19 @@ class PipelineContext:
         self._profile[key] = profile
         return profile
 
+    def lowered(self, workload: Workload, model: Model) -> LoweredProgram:
+        """Program lowered for ``model``, before scheduling (in-process
+        memo only; the store keeps the scheduled artifacts)."""
+        key = (self.profile_key(workload), model)
+        lowered = self._lowered.get(key)
+        if lowered is None:
+            base = self.frontend_program(workload)
+            profile = self.profile(workload)
+            with self.metrics.timer("lower"):
+                lowered = self._lowered[key] = compile_for_model(
+                    base, model, profile, self.options)
+        return lowered
+
     def compiled(self, workload: Workload, model: Model,
                  machine: MachineDescription) -> CompiledProgram:
         """Program compiled for ``model`` on the schedule-relevant
@@ -224,11 +244,9 @@ class PipelineContext:
             if compiled is not None:
                 self._adopt_uids(compiled.program)
         if compiled is None:
-            base = self.frontend_program(workload)
-            profile = self.profile(workload)
+            lowered = self.lowered(workload, model)
             with self.metrics.timer("compile"):
-                compiled = compile_for_model(base, model, profile, machine,
-                                             self.options)
+                compiled = schedule_for_machine(lowered, machine)
             if self.store is not None:
                 self.store.put("compiled", key, compiled)
         self._compiled[key] = compiled

@@ -80,12 +80,14 @@ def _time_per_unit(fn, units: int, repeat: int) -> float:
 def _compiled_kernel():
     from repro.analysis.profile import Profile
     from repro.machine.descriptor import fig8_machine
-    from repro.toolchain import Model, compile_for_model, frontend
+    from repro.toolchain import (Model, compile_for_model, frontend,
+                                 schedule_for_machine)
 
     base = frontend(_KERNEL)
     profile = Profile.collect(base, max_steps=5_000_000)
     machine = fig8_machine()
-    compiled = compile_for_model(base, Model.FULLPRED, profile, machine)
+    compiled = schedule_for_machine(
+        compile_for_model(base, Model.FULLPRED, profile), machine)
     return compiled, machine
 
 

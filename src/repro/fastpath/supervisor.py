@@ -492,14 +492,15 @@ def _golden_program():
     if _GOLDEN is None:
         from repro.analysis.profile import Profile
         from repro.machine.descriptor import MachineDescription
-        from repro.toolchain import Model, compile_for_model, frontend
+        from repro.toolchain import (Model, compile_for_model, frontend,
+                                     schedule_for_machine)
         machine = MachineDescription(
             issue_width=4, branch_issue_limit=2,
             name="canary").with_real_caches()
         base = frontend(GOLDEN_SOURCE)
         profile = Profile.collect(base, inputs=GOLDEN_INPUTS)
-        compiled = compile_for_model(base, Model.FULLPRED, profile,
-                                     machine)
+        compiled = schedule_for_machine(
+            compile_for_model(base, Model.FULLPRED, profile), machine)
         from repro.fastpath.decode import decode_program
         _GOLDEN = (compiled, decode_program(compiled.program), machine)
     return _GOLDEN

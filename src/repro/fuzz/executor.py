@@ -29,7 +29,8 @@ from repro.machine.descriptor import MachineDescription
 from repro.robustness.differential import (assert_equivalent,
                                            assert_fastpath_equivalent)
 from repro.robustness.errors import ModelDivergenceError
-from repro.toolchain import Model, compile_for_model, frontend
+from repro.toolchain import (Model, compile_for_model, frontend,
+                             schedule_for_machine)
 
 #: model order: reference first, then the two predicated models
 MODEL_ORDER = (Model.SUPERBLOCK, Model.CMOV, Model.FULLPRED)
@@ -108,7 +109,8 @@ def execute_source(source: str, inputs: dict | None = None,
 
     executions: dict[Model, object] = {}
     for model in MODEL_ORDER:
-        compiled = compile_for_model(base, model, profile, machine)
+        compiled = schedule_for_machine(
+            compile_for_model(base, model, profile), machine)
         executions[model] = assert_fastpath_equivalent(
             compiled, inputs=inputs, machine=machine,
             max_steps=config.max_steps, workload=case_id,

@@ -12,8 +12,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-from repro.ir.opcodes import (OpCategory, Opcode, category, has_side_effects,
-                              is_control, CONDITION)
+from repro.ir.opcodes import OpCategory, Opcode, CONDITION
 from repro.ir.operands import GlobalAddr, Imm, Operand, PReg, VReg
 
 
@@ -111,7 +110,7 @@ class Instruction:
 
     @property
     def cat(self) -> OpCategory:
-        return category(self.op)
+        return self.op.cat
 
     @property
     def is_branch(self) -> bool:
@@ -119,7 +118,7 @@ class Instruction:
 
     @property
     def is_control(self) -> bool:
-        return is_control(self.op)
+        return self.op.is_control
 
     @property
     def is_terminator(self) -> bool:
@@ -170,7 +169,8 @@ class Instruction:
     @property
     def is_pure(self) -> bool:
         """True if removing the instruction only loses its dest value(s)."""
-        return not has_side_effects(self.op) and not self.is_control
+        # control transfers count as side effects
+        return not self.op.has_side_effects
 
     def copy(self, **overrides: object) -> "Instruction":
         """Shallow copy with field overrides; keeps the same ``uid``."""

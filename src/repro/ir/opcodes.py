@@ -153,10 +153,24 @@ for _op in (Opcode.SELECT, Opcode.FSELECT):
     _CATEGORY[_op] = OpCategory.SELECT
 _CATEGORY[Opcode.NOP] = OpCategory.NOP
 
+_CONTROL = frozenset({OpCategory.BRANCH, OpCategory.JUMP, OpCategory.CALL,
+                      OpCategory.RET})
+_SIDE_EFFECTS = _CONTROL | {OpCategory.STORE, OpCategory.PREDSET}
+
+# The pass hot loops query every instruction's opcode.  Enum hashing is
+# Python-level code, so the answers are stored on each member once, at
+# import, and read as plain attributes: ``op.cat``, ``op.is_control``,
+# ``op.has_side_effects``.
+assert len(_CATEGORY) == len(Opcode), "every opcode needs a category"
+for _op, _cat in _CATEGORY.items():
+    _op.cat = _cat
+    _op.is_control = _cat in _CONTROL
+    _op.has_side_effects = _cat in _SIDE_EFFECTS
+
 
 def category(op: Opcode) -> OpCategory:
     """Return the behaviour category of ``op``."""
-    return _CATEGORY[op]
+    return op.cat
 
 
 COMMUTATIVE: frozenset[Opcode] = frozenset({
@@ -219,15 +233,12 @@ MAY_EXCEPT: frozenset[Opcode] = frozenset({
 
 def has_side_effects(op: Opcode) -> bool:
     """True if the instruction does more than write its destination."""
-    return category(op) in (OpCategory.STORE, OpCategory.BRANCH,
-                            OpCategory.JUMP, OpCategory.CALL, OpCategory.RET,
-                            OpCategory.PREDSET)
+    return op.has_side_effects
 
 
 def is_control(op: Opcode) -> bool:
     """True for instructions that may transfer control."""
-    return category(op) in (OpCategory.BRANCH, OpCategory.JUMP,
-                            OpCategory.CALL, OpCategory.RET)
+    return op.is_control
 
 
 def writes_float(op: Opcode) -> bool:

@@ -51,16 +51,20 @@ def _is_self_loop(block: BasicBlock) -> bool:
             and last.target == block.name)
 
 
-def _renamable_regs(fn: Function, block: BasicBlock) -> set:
+def _renamable_regs(fn: Function, block: BasicBlock) -> list:
     """Registers private to one iteration: defined in the block and not
-    live into or out of it."""
+    live into or out of it, in first-definition order.
+
+    The order picks which fresh register each one is renamed to, so it
+    must not come from set iteration: register hashes include a
+    string-hashed enum and vary with ``PYTHONHASHSEED``.
+    """
     live = liveness(fn)
     keep = set(live.live_in.get(block.name, frozenset()))
     keep |= set(live.live_out.get(block.name, frozenset()))
-    defined = set()
-    for inst in block.instructions:
-        defined.update(inst.defined_regs())
-    return {r for r in defined if r not in keep}
+    defined = dict.fromkeys(reg for inst in block.instructions
+                            for reg in inst.defined_regs())
+    return [r for r in defined if r not in keep]
 
 
 def unroll_self_loop(fn: Function, block: BasicBlock,

@@ -61,8 +61,8 @@ from repro.engine.store import ArtifactStore
 from repro.robustness.errors import EmulationTimeout
 from repro.robustness.faults import CAMPAIGN_INPUTS, CAMPAIGN_SOURCE
 from repro.robustness.watchdog import EmulationWatchdog
-from repro.toolchain import Model, compile_for_model, frontend, \
-    run_compiled
+from repro.toolchain import (Model, compile_for_model, frontend,
+                             run_compiled, schedule_for_machine)
 
 #: hard per-injection deadline — a hung recovery is a failed recovery
 _DEADLINE_SECONDS = 120.0
@@ -244,8 +244,8 @@ def _inject_slow_task() -> ChaosReport:
     base = frontend(CAMPAIGN_SOURCE)
     profile = Profile.collect(base, inputs=CAMPAIGN_INPUTS)
     from repro.machine.descriptor import scalar_machine
-    compiled = compile_for_model(base, Model.SUPERBLOCK, profile,
-                                 scalar_machine())
+    compiled = schedule_for_machine(
+        compile_for_model(base, Model.SUPERBLOCK, profile), scalar_machine())
     # A tiny beat interval makes the budget bite on small kernels (the
     # default 65536-step interval never fires inside one).
     wd = EmulationWatchdog(wall_clock_budget=1e-9, interval=64)
@@ -396,8 +396,8 @@ def _native_chaos_program():
         machine = MachineDescription(
             issue_width=4, branch_issue_limit=2,
             name="native-chaos").with_real_caches()
-        compiled = compile_for_model(base, Model.FULLPRED, profile,
-                                     machine)
+        compiled = schedule_for_machine(
+            compile_for_model(base, Model.FULLPRED, profile), machine)
         reference = _observables(run_compiled(
             compiled, inputs=CAMPAIGN_INPUTS, machine=machine,
             engine="legacy"))

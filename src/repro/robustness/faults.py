@@ -40,7 +40,8 @@ from repro.ir.verifier import verify_program
 from repro.machine.descriptor import scalar_machine
 from repro.robustness.differential import assert_equivalent
 from repro.robustness.integrity import check_trace_integrity
-from repro.toolchain import Model, compile_for_model, frontend
+from repro.toolchain import (Model, compile_for_model, frontend,
+                             schedule_for_machine)
 
 #: Small hammock-heavy kernel in the mould of the paper's ``wc`` case
 #: study: hot enough (128 iterations) for hyperblock formation, with
@@ -231,7 +232,8 @@ def run_fault_campaign() -> list[FaultReport]:
     machine = scalar_machine()
     base = frontend(CAMPAIGN_SOURCE)
     profile = Profile.collect(base, inputs=CAMPAIGN_INPUTS)
-    compiled = {model: compile_for_model(base, model, profile, machine)
+    compiled = {model: schedule_for_machine(
+                    compile_for_model(base, model, profile), machine)
                 for model in Model}
     reference = run_program(compiled[Model.SUPERBLOCK].program,
                             inputs=CAMPAIGN_INPUTS, collect_trace=True)

@@ -76,6 +76,8 @@ def _parallel_family(inst: Instruction, reg) -> frozenset | None:
 def _complementary_cmovs(a: Instruction, b: Instruction) -> bool:
     """cmov/cmov_com on the same dest and condition may issue together
     (paper Section 2.2: at most one of them modifies the register)."""
+    if a.cat is not OpCategory.CMOV or b.cat is not OpCategory.CMOV:
+        return False
     pair = {a.op, b.op}
     if pair not in ({Opcode.CMOV, Opcode.CMOV_COM},
                     {Opcode.FCMOV, Opcode.FCMOV_COM}):
@@ -98,6 +100,9 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
     insts = block.instructions
     n = len(insts)
     graph = DepGraph(insts, [[] for _ in range(n)], [[] for _ in range(n)])
+    # Per-instruction facts the pairwise loops below consult repeatedly.
+    lat = [machine.latency(inst.op) for inst in insts]
+    used = [inst.used_regs() for inst in insts]
 
     # Register dependences.
     last_definite: dict = {}
@@ -111,9 +116,8 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
         return out
 
     for j, inst in enumerate(insts):
-        lat_j = machine.latency(inst.op)
         # RAW (including guard predicates and cmov implicit dest reads).
-        for r in inst.used_regs():
+        for r in used[j]:
             for i in defs_reaching(r):
                 producer = insts[i]
                 fam_i = _parallel_family(producer, r)
@@ -122,11 +126,12 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
                     continue  # wired-OR/AND: order independent
                 if _complementary_cmovs(producer, inst):
                     continue
-                graph.add_edge(i, j, machine.latency(producer.op))
+                graph.add_edge(i, j, lat[i])
         # WAR: writers wait for earlier readers (latency 0 keeps order).
         for r in inst.defined_regs():
+            reaching = defs_reaching(r)
             for i in range(j):
-                if r in insts[i].used_regs() and i not in defs_reaching(r):
+                if r in used[i] and i not in reaching:
                     fam_i = _parallel_family(insts[i], r)
                     fam_j = _parallel_family(inst, r)
                     if fam_i is not None and fam_i is fam_j:
@@ -149,7 +154,7 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
                 if isinstance(r, PReg):
                     waw_lat = 1
                 else:
-                    waw_lat = 1 if machine.latency(insts[i].op) > 1 else 0
+                    waw_lat = 1 if lat[i] > 1 else 0
                 graph.add_edge(i, j, waw_lat)
             # Update def records.  Parallel-type (OR/AND) predicate
             # destinations accumulate rather than overwrite, so they are
@@ -161,7 +166,6 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
             else:
                 last_definite[r] = j
                 pending.pop(r, None)
-    del lat_j
 
     # pred_clear / pred_set rewrite the entire predicate file: order them
     # against every instruction touching any predicate register.
@@ -178,7 +182,7 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
         else:
             touches_preds = (inst.pred is not None or inst.pdests
                              or any(isinstance(r, PReg)
-                                    for r in inst.used_regs()))
+                                    for r in used[j]))
             if touches_preds:
                 if last_predset is not None:
                     graph.add_edge(last_predset, j, 1)
@@ -222,7 +226,7 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
         if cat is OpCategory.LOAD:
             key = mem_key(inst)
             for i in conflicting_stores(key):
-                graph.add_edge(i, j, machine.latency(insts[i].op))
+                graph.add_edge(i, j, lat[i])
             loads_since.setdefault(key, []).append(j)
         elif cat is OpCategory.STORE or cat is OpCategory.CALL:
             key = "*" if cat is OpCategory.CALL else mem_key(inst)
@@ -260,7 +264,7 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
         elif binst.cat is OpCategory.RET:
             # A return's "target" needs only the returned value: other
             # pure instructions may move across it like any exit branch.
-            live_target = frozenset(binst.used_regs())
+            live_target = frozenset(used[b])
         else:
             live_target = live.live_in.get(binst.target or "", empty)
         for j in range(n):

@@ -12,13 +12,23 @@ formation and predication lowering exactly as Section 4.1 describes:
   (basic conversions, comparison inversion, post-conversion peephole,
   OR-tree height reduction).
 
-Speedups are reported against the 1-issue SUPERBLOCK configuration, as
-in the paper.
+Compilation is two steps, as in the paper's compiler, where only the
+list scheduler sees the processor configuration:
+
+* :func:`compile_for_model` — the per-model compile: region formation,
+  predication lowering, cleanup and the final verify, run once per
+  (program, model) and returning a :class:`LoweredProgram`;
+* :func:`schedule_for_machine` — the per-machine step: list scheduling
+  and address layout on a clone of the lowered IR, returning a
+  :class:`CompiledProgram`.
+
+Sweeping issue widths or branch limits therefore re-runs only the
+second step.  Speedups are reported against the 1-issue SUPERBLOCK
+configuration, as in the paper.
 """
 
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass, field
 
@@ -118,6 +128,24 @@ class ToolchainOptions:
 
 
 @dataclass
+class LoweredProgram:
+    """A program compiled for one model, before scheduling.
+
+    Machine-independent: one lowering serves every machine through
+    :func:`schedule_for_machine`, which never mutates it.
+    """
+
+    program: Program
+    model: Model
+    #: passes skipped by rollback-and-continue (empty on clean compiles)
+    degradations: list[Degradation] = field(default_factory=list)
+
+    @property
+    def static_size(self) -> int:
+        return self.program.static_size()
+
+
+@dataclass
 class CompiledProgram:
     """A program compiled for one model/machine pair."""
 
@@ -147,17 +175,28 @@ def frontend(source: str) -> Program:
 
 
 def compile_for_model(base: Program, model: Model, profile: Profile,
-                      machine: MachineDescription,
-                      options: ToolchainOptions | None = None
-                      ) -> CompiledProgram:
-    """Clone ``base`` and compile it for ``model`` on ``machine``.
+                      options: ToolchainOptions | None = None,
+                      machine_options: ToolchainOptions | None = None
+                      ) -> LoweredProgram | CompiledProgram:
+    """Clone ``base`` and run every ``model`` pass on the clone.
 
     ``base`` must come from :func:`frontend` and ``profile`` must have
-    been collected on it (training run).
+    been collected on it (training run).  Returns the verified
+    :class:`LoweredProgram`; :func:`schedule_for_machine` turns it into
+    a :class:`CompiledProgram` for each machine.
+
+    The one-shot form ``compile_for_model(base, model, profile, machine,
+    options)`` — a :class:`MachineDescription` in the ``options`` slot,
+    the options after it — lowers and schedules in one call and returns
+    the :class:`CompiledProgram`.  It is kept for ``perfbench/oracle.py``.
     """
+    if isinstance(options, MachineDescription):
+        return schedule_for_machine(
+            compile_for_model(base, model, profile, machine_options),
+            options)
     if options is None:
         options = ToolchainOptions()
-    program = copy.deepcopy(base)
+    program = base.clone()
     gate = PassGate(program, paranoid=options.paranoid,
                     rollback=options.rollback,
                     artifact_dir=options.artifact_dir, model=model.value)
@@ -228,6 +267,16 @@ def compile_for_model(base: Program, model: Model, profile: Profile,
             raise PassVerificationError(
                 f"compiled {model.value} program failed final "
                 f"verification: {exc}", pass_name="final-verify") from exc
+    return LoweredProgram(program=program, model=model,
+                          degradations=list(gate.degradations))
+
+
+def schedule_for_machine(lowered: LoweredProgram,
+                         machine: MachineDescription) -> CompiledProgram:
+    """List-schedule a clone of ``lowered`` for ``machine`` and lay it
+    out.  ``lowered`` is left untouched, so it may be scheduled again
+    for any other machine."""
+    program = lowered.program.clone()
     try:
         schedule = schedule_program(program, machine)
         addresses = assign_addresses(program, machine.instruction_bytes)
@@ -237,11 +286,12 @@ def compile_for_model(base: Program, model: Model, profile: Profile,
         raise
     except Exception as exc:
         raise CompileError(
-            f"scheduling {model.value} program failed: {exc}",
+            f"scheduling {lowered.model.value} program failed: {exc}",
             pass_name="schedule") from exc
-    return CompiledProgram(program=program, model=model, machine=machine,
-                           schedule=schedule, addresses=addresses,
-                           degradations=list(gate.degradations))
+    return CompiledProgram(program=program, model=lowered.model,
+                           machine=machine, schedule=schedule,
+                           addresses=addresses,
+                           degradations=list(lowered.degradations))
 
 
 def _combine_all(fn, formed, profile, params) -> None:
@@ -328,7 +378,8 @@ def compile_and_simulate(source: str, model: Model,
     """
     base = frontend(source)
     profile = Profile.collect(base, inputs=train_inputs or inputs)
-    compiled = compile_for_model(base, model, profile, machine, options)
+    compiled = schedule_for_machine(
+        compile_for_model(base, model, profile, options), machine)
     return run_compiled(compiled, inputs=inputs)
 
 

@@ -203,7 +203,8 @@ def test_worklist_liveness_matches_round_robin_on_real_code():
     from repro.analysis.profile import Profile
     from repro.fuzz.generator import generate_case
     from repro.machine.descriptor import MachineDescription
-    from repro.toolchain import Model, compile_for_model, frontend
+    from repro.toolchain import (Model, compile_for_model, frontend,
+                                 schedule_for_machine)
 
     case = generate_case(0x11e, 2)
     machine = MachineDescription(issue_width=8, branch_issue_limit=1,
@@ -212,7 +213,8 @@ def test_worklist_liveness_matches_round_robin_on_real_code():
     profile = Profile.collect(base, inputs=case.inputs,
                               max_steps=300_000)
     for model in (Model.SUPERBLOCK, Model.FULLPRED):
-        compiled = compile_for_model(base, model, profile, machine)
+        compiled = schedule_for_machine(
+            compile_for_model(base, model, profile), machine)
         for fn in compiled.program.functions.values():
             got = liveness(fn)
             want = _round_robin_liveness(fn)

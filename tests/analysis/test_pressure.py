@@ -4,7 +4,8 @@ from repro.analysis.pressure import function_pressure, program_pressure
 from repro.analysis.profile import Profile
 from repro.lang import compile_minic
 from repro.machine.descriptor import fig8_machine
-from repro.toolchain import Model, compile_for_model, frontend
+from repro.toolchain import (Model, compile_for_model, frontend,
+                             schedule_for_machine)
 
 SRC = """
 int a[64];
@@ -48,7 +49,8 @@ def test_partial_predication_raises_pressure():
     machine = fig8_machine()
     by_model = {
         model: program_pressure(
-            compile_for_model(base, model, profile, machine).program)
+            schedule_for_machine(
+                compile_for_model(base, model, profile), machine).program)
         for model in Model
     }
     assert by_model[Model.CMOV].total_vregs >= \

@@ -79,6 +79,15 @@ def test_compare_tolerates_missing_stages():
                                    baseline) == []
 
 
+def test_compare_skips_stages_the_baseline_lacks():
+    # A baseline written before the ``lower`` stage existed gates only
+    # the stages it records, however slow the new one is.
+    baseline = _bench({"compile": 1.0})
+    current = _bench({"lower": 50.0, "compile": 1.0})
+    assert compare_stage_walltimes(current, baseline) == []
+    assert compare_stage_walltimes(current, current) == []
+
+
 def test_committed_baseline_replayed_against_itself_passes(capsys):
     """A vector run at exactly baseline speed passes ``--compare``: the
     gate is the 25% per-stage regression check and nothing else."""

@@ -13,7 +13,8 @@ from repro.engine.serialize import (MAGIC, pack, program_fingerprint,
 from repro.machine.descriptor import fig8_machine
 from repro.robustness.errors import TraceIntegrityError
 from repro.sim.pipeline import simulate_trace
-from repro.toolchain import Model, compile_for_model, frontend
+from repro.toolchain import (Model, compile_for_model, frontend,
+                             schedule_for_machine)
 from repro.workloads import get_workload
 
 SCALE = 0.2
@@ -24,7 +25,8 @@ def compiled():
     wc = get_workload("wc")
     base = frontend(wc.source)
     profile = Profile.collect(base, inputs=wc.inputs(SCALE))
-    return compile_for_model(base, Model.CMOV, profile, fig8_machine())
+    return schedule_for_machine(
+        compile_for_model(base, Model.CMOV, profile), fig8_machine())
 
 
 @pytest.fixture(scope="module")

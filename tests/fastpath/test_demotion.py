@@ -17,7 +17,8 @@ from repro.fastpath.vector import (emulate_and_simulate_vector,
                                    simulate_columns_vector)
 from repro.machine.descriptor import MachineDescription
 from repro.robustness.faults import CAMPAIGN_INPUTS, CAMPAIGN_SOURCE
-from repro.toolchain import Model, compile_for_model, frontend
+from repro.toolchain import (Model, compile_for_model, frontend,
+                             schedule_for_machine)
 
 HAVE_CC = any(__import__("shutil").which(c) for c in ("cc", "gcc"))
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
@@ -29,7 +30,8 @@ def program():
     profile = Profile.collect(base, inputs=CAMPAIGN_INPUTS)
     machine = MachineDescription(issue_width=4, branch_issue_limit=2,
                                  name="demotion").with_real_caches()
-    compiled = compile_for_model(base, Model.FULLPRED, profile, machine)
+    compiled = schedule_for_machine(
+        compile_for_model(base, Model.FULLPRED, profile), machine)
     decoded = decode_program(compiled.program)
     return compiled, decoded, machine
 

@@ -18,7 +18,7 @@ from repro.fastpath.vector import emulate_and_simulate_vector
 from repro.robustness.differential import assert_fastpath_equivalent
 from repro.robustness.errors import ModelDivergenceError
 from repro.sim.pipeline import simulate_trace
-from repro.toolchain import Model, compile_for_model
+from repro.toolchain import Model, compile_for_model, schedule_for_machine
 from tests.conftest import wc_expected, wc_inputs
 
 _OBSERVABLES = ("return_value", "dynamic_count", "suppressed_count",
@@ -28,8 +28,8 @@ _OBSERVABLES = ("return_value", "dynamic_count", "suppressed_count",
 
 @pytest.fixture(params=list(Model), ids=lambda m: m.name.lower())
 def wc_compiled(request, wc_program, wc_profile, machine8):
-    return compile_for_model(wc_program, request.param, wc_profile,
-                             machine8)
+    return schedule_for_machine(
+        compile_for_model(wc_program, request.param, wc_profile), machine8)
 
 
 # ----- decode --------------------------------------------------------------

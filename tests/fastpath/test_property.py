@@ -19,7 +19,8 @@ from repro.fastpath.interp import run_program_fast
 from repro.fastpath.simulate import prepare_sim, simulate_columns
 from repro.machine.descriptor import fig8_machine
 from repro.sim.pipeline import simulate_trace
-from repro.toolchain import Model, compile_for_model, frontend
+from repro.toolchain import (Model, compile_for_model, frontend,
+                             schedule_for_machine)
 
 _VARS = ["v0", "v1", "v2"]
 
@@ -94,7 +95,8 @@ def test_fastpath_matches_legacy_on_random_programs(source, seeds):
     profile = Profile.collect(base, inputs=inputs, max_steps=300_000)
     machine = fig8_machine()
     for model in Model:
-        compiled = compile_for_model(base, model, profile, machine)
+        compiled = schedule_for_machine(
+            compile_for_model(base, model, profile), machine)
         legacy = run_program(compiled.program, inputs=inputs,
                              collect_trace=True, max_steps=600_000)
         decoded = decode_program(compiled.program)

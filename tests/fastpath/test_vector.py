@@ -28,7 +28,7 @@ from repro.fuzz.generator import PROFILE_ORDER, generate_case
 from repro.machine.descriptor import MachineDescription, fig8_machine
 from repro.sim.pipeline import simulate_trace
 from repro.toolchain import (Model, compile_for_model, frontend,
-                             run_compiled)
+                             run_compiled, schedule_for_machine)
 from repro.workloads import get_workload
 
 #: ExecutionResult fields every engine must reproduce exactly
@@ -62,7 +62,8 @@ def kernel():
     base = frontend(_KERNEL)
     profile = Profile.collect(base)
     machine = fig8_machine()
-    compiled = compile_for_model(base, Model.FULLPRED, profile, machine)
+    compiled = schedule_for_machine(
+        compile_for_model(base, Model.FULLPRED, profile), machine)
     decoded = decode_program(compiled.program)
     execution = run_program_fast(compiled.program, collect_trace=True,
                                  decoded=decoded)
@@ -248,8 +249,8 @@ def test_native_emulator_fault_parity():
     source = "int main() { int a; a = 0; return 5 / a; }"
     base = frontend(source)
     empty = Profile(block_counts={}, branch_outcomes={})
-    compiled = compile_for_model(base, Model.SUPERBLOCK, empty,
-                                 fig8_machine())
+    compiled = schedule_for_machine(
+        compile_for_model(base, Model.SUPERBLOCK, empty), fig8_machine())
     with pytest.raises(EmulationFault) as fast_exc:
         run_program_fast(compiled.program, collect_trace=True)
     from repro.fastpath.native import run_program_native
@@ -278,7 +279,8 @@ def test_vector_matches_legacy_on_fuzz_profiles(seed, index):
     except EmulationFault:
         return  # a legitimately faulting case proves nothing here
     for model in (Model.SUPERBLOCK, Model.FULLPRED):
-        compiled = compile_for_model(base, model, profile, machine)
+        compiled = schedule_for_machine(
+            compile_for_model(base, model, profile), machine)
         try:
             legacy = run_program(compiled.program, inputs=case.inputs,
                                  collect_trace=True, max_steps=600_000)

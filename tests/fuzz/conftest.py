@@ -41,9 +41,9 @@ def bump_first_imm(program) -> bool:
     return bumped
 
 
-def sabotaged_compile(base, model, profile, machine, options=None):
+def sabotaged_compile(base, model, profile, options=None):
     """Drop-in for ``compile_for_model`` that miscompiles CMOV only."""
-    compiled = compile_for_model(base, model, profile, machine, options)
+    lowered = compile_for_model(base, model, profile, options)
     if model is Model.CMOV:
-        bump_first_imm(compiled.program)
-    return compiled
+        bump_first_imm(lowered.program)
+    return lowered

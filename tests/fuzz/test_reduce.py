@@ -17,7 +17,8 @@ from repro.fuzz.reduce import _brace_regions, reduce_source
 from repro.fuzz.triage import signature_of
 from repro.machine.descriptor import MachineDescription
 from repro.robustness.differential import assert_equivalent
-from repro.toolchain import Model, compile_for_model, frontend
+from repro.toolchain import (Model, compile_for_model, frontend,
+                             schedule_for_machine)
 
 from tests.fuzz.conftest import sabotaged_compile
 
@@ -77,12 +78,14 @@ def _divergence_signature(source: str, inputs: dict, max_steps: int):
         profile = Profile.collect(base, inputs=inputs,
                                   max_steps=max_steps)
         reference = run_program(
-            compile_for_model(base, Model.SUPERBLOCK, profile,
-                              machine).program,
+            schedule_for_machine(
+                compile_for_model(base, Model.SUPERBLOCK, profile),
+                machine).program,
             inputs=inputs, max_steps=max_steps)
         candidate = run_program(
-            sabotaged_compile(base, Model.CMOV, profile,
-                              machine).program,
+            schedule_for_machine(
+                sabotaged_compile(base, Model.CMOV, profile),
+                machine).program,
             inputs=inputs, max_steps=max_steps)
         assert_equivalent(candidate, reference, workload="inject",
                           model=Model.CMOV.value)

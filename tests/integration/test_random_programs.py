@@ -14,7 +14,8 @@ from repro.analysis.profile import Profile
 from repro.emu import run_program
 from repro.ir import verify_program
 from repro.machine.descriptor import fig8_machine
-from repro.toolchain import Model, compile_for_model, frontend
+from repro.toolchain import (Model, compile_for_model, frontend,
+                             schedule_for_machine)
 
 _VARS = ["v0", "v1", "v2", "v3"]
 _ARR = "arr"
@@ -112,7 +113,8 @@ def test_all_models_compute_identical_results(source, seeds):
     profile = Profile.collect(base, inputs=inputs, max_steps=300_000)
     machine = fig8_machine()
     for model in Model:
-        compiled = compile_for_model(base, model, profile, machine)
+        compiled = schedule_for_machine(
+            compile_for_model(base, model, profile), machine)
         verify_program(compiled.program, model.isa_level)
         got = run_program(compiled.program, inputs=inputs,
                           max_steps=600_000).return_value

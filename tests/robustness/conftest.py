@@ -14,7 +14,8 @@ from repro.analysis.profile import Profile
 from repro.emu.interpreter import run_program
 from repro.machine.descriptor import scalar_machine
 from repro.robustness.faults import CAMPAIGN_INPUTS, CAMPAIGN_SOURCE
-from repro.toolchain import Model, compile_for_model, frontend
+from repro.toolchain import (Model, compile_for_model, frontend,
+                             schedule_for_machine)
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +23,8 @@ def campaign():
     base = frontend(CAMPAIGN_SOURCE)
     profile = Profile.collect(base, inputs=CAMPAIGN_INPUTS)
     machine = scalar_machine()
-    compiled = {model: compile_for_model(base, model, profile, machine)
+    compiled = {model: schedule_for_machine(
+                    compile_for_model(base, model, profile), machine)
                 for model in Model}
     executions = {model: run_program(compiled[model].program,
                                      inputs=CAMPAIGN_INPUTS,

@@ -9,7 +9,8 @@ from repro.ir import Imm, Instruction, Opcode, VReg
 from repro.ir.verifier import ISALevel, verify_function
 from repro.robustness.errors import CompileError, PassVerificationError
 from repro.robustness.passgate import PassGate
-from repro.toolchain import Model, ToolchainOptions, compile_for_model
+from repro.toolchain import (Model, ToolchainOptions, compile_for_model,
+                             schedule_for_machine)
 
 
 def _append_after_terminator(fn) -> None:
@@ -88,9 +89,9 @@ def test_crash_with_rollback_degrades(campaign, tmp_path):
 def test_paranoid_toolchain_compiles_cleanly(campaign, tmp_path):
     options = ToolchainOptions(paranoid=True, rollback=True,
                                artifact_dir=str(tmp_path))
-    compiled = compile_for_model(campaign.base, Model.FULLPRED,
-                                 campaign.profile, campaign.machine,
-                                 options)
+    compiled = schedule_for_machine(
+        compile_for_model(campaign.base, Model.FULLPRED, campaign.profile,
+                          options), campaign.machine)
     assert not compiled.degradations
     assert not list(tmp_path.iterdir())
 

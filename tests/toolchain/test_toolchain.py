@@ -8,7 +8,7 @@ from repro.ir.opcodes import OpCategory
 from repro.machine.descriptor import fig8_machine, scalar_machine
 from repro.toolchain import (Model, ToolchainOptions, baseline_cycles,
                              compile_and_simulate, compile_for_model,
-                             frontend, run_compiled)
+                             frontend, run_compiled, schedule_for_machine)
 
 SRC = """
 char buf[256];
@@ -48,14 +48,14 @@ def test_isa_levels_by_model():
 
 def test_each_pipeline_respects_its_isa(base, profile):
     for model in Model:
-        compiled = compile_for_model(base, model, profile,
-                                     fig8_machine())
+        compiled = schedule_for_machine(
+            compile_for_model(base, model, profile), fig8_machine())
         verify_program(compiled.program, model.isa_level)
 
 
 def test_fullpred_code_fails_partial_verification(base, profile):
-    compiled = compile_for_model(base, Model.FULLPRED, profile,
-                                 fig8_machine())
+    compiled = schedule_for_machine(
+        compile_for_model(base, Model.FULLPRED, profile), fig8_machine())
     has_predication = any(
         i.pred is not None or i.pdests
         for f in compiled.program.functions.values()
@@ -66,8 +66,8 @@ def test_fullpred_code_fails_partial_verification(base, profile):
 
 
 def test_cmov_code_contains_conditional_moves(base, profile):
-    compiled = compile_for_model(base, Model.CMOV, profile,
-                                 fig8_machine())
+    compiled = schedule_for_machine(
+        compile_for_model(base, Model.CMOV, profile), fig8_machine())
     ops = {i.op for f in compiled.program.functions.values()
            for i in f.all_instructions()}
     assert ops & {Opcode.CMOV, Opcode.CMOV_COM, Opcode.SELECT}
@@ -75,13 +75,14 @@ def test_cmov_code_contains_conditional_moves(base, profile):
 
 def test_compile_does_not_mutate_base(base, profile):
     before = base.static_size()
-    compile_for_model(base, Model.FULLPRED, profile, fig8_machine())
+    schedule_for_machine(
+        compile_for_model(base, Model.FULLPRED, profile), fig8_machine())
     assert base.static_size() == before
 
 
 def test_run_compiled_cross_machine(base, profile):
-    compiled = compile_for_model(base, Model.SUPERBLOCK, profile,
-                                 fig8_machine())
+    compiled = schedule_for_machine(
+        compile_for_model(base, Model.SUPERBLOCK, profile), fig8_machine())
     perfect = run_compiled(compiled, inputs=INPUTS)
     real = run_compiled(compiled, inputs=INPUTS,
                         machine=fig8_machine().with_real_caches())
@@ -108,8 +109,8 @@ def test_options_disable_machinery(base, profile):
                                enable_promotion=False,
                                enable_or_tree=False, unroll=None)
     for model in Model:
-        compiled = compile_for_model(base, model, profile,
-                                     fig8_machine(), options)
+        compiled = schedule_for_machine(
+            compile_for_model(base, model, profile, options), fig8_machine())
         result = run_compiled(compiled, inputs=INPUTS)
         golden = compile_and_simulate(SRC, Model.SUPERBLOCK,
                                       scalar_machine(), inputs=INPUTS)
@@ -117,8 +118,8 @@ def test_options_disable_machinery(base, profile):
 
 
 def test_schedule_annotations_cover_instructions(base, profile):
-    compiled = compile_for_model(base, Model.FULLPRED, profile,
-                                 fig8_machine())
+    compiled = schedule_for_machine(
+        compile_for_model(base, Model.FULLPRED, profile), fig8_machine())
     for fn in compiled.program.functions.values():
         for inst in fn.all_instructions():
             assert inst.uid in compiled.schedule.cycles
