@@ -829,13 +829,7 @@ def _cmd_fuzz_run(args) -> int:
         # Fold any existing bench baseline forward so a fuzz campaign
         # adds its throughput without clobbering the committed
         # per-stage timings that `report --compare` checks against.
-        import json
-        try:
-            with open(args.bench_json) as handle:
-                metrics.merge_dict(json.load(handle))
-        except (OSError, ValueError):
-            pass
-        metrics.write_json(args.bench_json)
+        metrics.accumulate_json(args.bench_json)
     if result.finding_count:
         raise FuzzFindingsError(
             f"{result.finding_count} finding(s), "

@@ -2,18 +2,23 @@
 
 A :class:`PipelineMetrics` instance rides along the pipeline (suite,
 store, pool workers) and accumulates wall time per stage, cache hit/miss
-counters per artifact kind, and simulation volume.  Workers serialize
-their counters with :meth:`PipelineMetrics.to_dict` and the parent folds
-them back in with :meth:`PipelineMetrics.merge_dict`, so one object
-always holds the whole run's totals — the source of both the report
-summary block and ``BENCH_pipeline.json``.
+counters per artifact kind, and a registry of scalar counters.  Workers
+serialize their counters with :meth:`PipelineMetrics.to_dict` and the
+parent folds them back in with :meth:`PipelineMetrics.merge_dict`, so
+one object always holds the whole run's totals — the source of both the
+report summary block and ``BENCH_pipeline.json``.
+
+Every scalar counter is named once, in :data:`COUNTERS`: code bumps it
+with ``metrics.add(name, n)`` and reads ``metrics.counts[name]``, and
+serialization and merging loop over the table.  A new counter is one
+:data:`COUNTERS` entry, plus a :data:`_RENDER` group to show it.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 from repro.engine.keys import KINDS, SCHEMA_VERSION
@@ -22,6 +27,87 @@ from repro.engine.keys import KINDS, SCHEMA_VERSION
 #: once per (workload, model), ``compile`` schedules that IR per machine
 STAGES = ("frontend", "profile", "lower", "compile", "emulate",
           "simulate")
+
+#: every scalar counter, in serialization order.  Names ending in
+#: ``_seconds`` are float wall times (rounded to 6 places on output);
+#: all others are integer counts.
+COUNTERS = (
+    "total_cycles_simulated",
+    # process pool: jobs handed out, jobs lost to a crashed worker
+    "jobs_dispatched", "worker_crashes",
+    # recovery: scheduler retries and backoff, quarantines, pool rebuilds
+    "task_retries", "retry_backoff_seconds", "quarantined_artifacts",
+    "pool_rebuilds",
+    # differential fuzzing: cases, findings before/after dedupe, time
+    "fuzz_cases", "fuzz_findings", "fuzz_unique_findings", "fuzz_seconds",
+    # service: submissions admitted, shed, single-flight deduped; breaker
+    # trips (a gauge the server assigns); terminal jobs and their time
+    "jobs_admitted", "jobs_shed", "jobs_deduped", "breaker_trips",
+    "service_jobs_done", "service_seconds",
+    # trace chunks consumed by the vector backend (0 on legacy)
+    "vector_chunks_total",
+    # sweeps: points evaluated, points served whole from the store, time
+    "sweep_points_total", "sweep_points_cached", "sweep_seconds",
+    # cluster: broken leases re-issued, zombies fenced, hedges, dead workers
+    "shards_reassigned", "leases_fenced", "hedged_shards", "workers_lost",
+    # native supervisor: demotions, parity failures, crashes, quarantines
+    "engine_demotions", "native_parity_failures", "native_kernel_crashes",
+    "kernel_cache_quarantined",
+)
+
+#: derived rates: (name, numerator, denominator, digits, value at a zero
+#: denominator); a stage-name denominator means that stage's wall time.
+#: A rate serializes after the last counter of its family (first word).
+RATES = (
+    ("fuzz_cases_per_second", "fuzz_cases", "fuzz_seconds", 3, 0.0),
+    ("fuzz_dedupe_ratio", "fuzz_unique_findings", "fuzz_findings", 4, 1.0),
+    ("service_jobs_per_second", "service_jobs_done", "service_seconds", 3,
+     0.0),
+    ("vector_chunks_per_second", "vector_chunks_total", "simulate", 3, 0.0),
+    ("sweep_points_per_second", "sweep_points_total", "sweep_seconds", 3,
+     0.0),
+)
+
+#: summary lines after the stage and cache lines: (label, the counters
+#: that make it print — none: always — and a format over counts + rates)
+_RENDER = (
+    ("simulated", (), "{total_cycles_simulated} cycles"),
+    ("jobs", ("jobs_dispatched",),
+     "{jobs_dispatched} dispatched, {worker_crashes} worker crashes"),
+    ("recovery", ("task_retries", "quarantined_artifacts", "pool_rebuilds"),
+     "{task_retries} retries ({retry_backoff_seconds:.2f}s backoff), "
+     "{quarantined_artifacts} quarantined, {pool_rebuilds} pool rebuilds"),
+    ("fuzz", ("fuzz_cases",),
+     "{fuzz_cases} cases in {fuzz_seconds:.2f}s "
+     "({fuzz_cases_per_second:.1f}/s), {fuzz_findings} findings "
+     "({fuzz_unique_findings} unique, dedupe ratio "
+     "{fuzz_dedupe_ratio:.2f})"),
+    ("service", ("jobs_admitted", "jobs_shed", "jobs_deduped"),
+     "{jobs_admitted} admitted, {jobs_shed} shed, {jobs_deduped} "
+     "deduped, {breaker_trips} breaker trips, {service_jobs_done} done "
+     "in {service_seconds:.2f}s ({service_jobs_per_second:.2f}/s)"),
+    ("vector", ("vector_chunks_total",),
+     "{vector_chunks_total} chunks ({vector_chunks_per_second:.1f}/s "
+     "over simulate time)"),
+    ("sweep", ("sweep_points_total",),
+     "{sweep_points_total} points ({sweep_points_cached} warm) in "
+     "{sweep_seconds:.2f}s ({sweep_points_per_second:.2f}/s)"),
+    ("cluster", ("shards_reassigned", "leases_fenced", "hedged_shards",
+                 "workers_lost"),
+     "{workers_lost} workers lost, {shards_reassigned} shards "
+     "reassigned, {hedged_shards} hedged, {leases_fenced} leases fenced"),
+    ("native", ("engine_demotions", "native_parity_failures",
+                "native_kernel_crashes", "kernel_cache_quarantined"),
+     "{engine_demotions} demotions, {native_kernel_crashes} kernel "
+     "crashes, {native_parity_failures} parity failures, "
+     "{kernel_cache_quarantined} kernel artifacts quarantined"),
+)
+
+
+#: counter name -> the rates serialized right after it
+_LAST_OF_FAMILY = {name.split("_")[0]: name for name in COUNTERS}
+_RATES_AFTER = {name: [r for r in RATES if name == _LAST_OF_FAMILY[
+    r[0].split("_")[0]]] for name in COUNTERS}
 
 
 @dataclass
@@ -54,72 +140,15 @@ class CacheMetrics:
 
 @dataclass
 class PipelineMetrics:
-    """Wall time, cache traffic and simulation volume for one run."""
+    """Wall time, cache traffic and scalar counters for one run."""
 
     stages: dict[str, StageMetrics] = field(
         default_factory=lambda: {s: StageMetrics() for s in STAGES})
     cache: dict[str, CacheMetrics] = field(
         default_factory=lambda: {k: CacheMetrics() for k in KINDS})
-    total_cycles_simulated: int = 0
-    jobs_dispatched: int = 0
-    worker_crashes: int = 0
-    #: transient-failure retries performed by the scheduler
-    task_retries: int = 0
-    #: total seconds slept in retry backoff (recovery overhead)
-    retry_backoff_seconds: float = 0.0
-    #: corrupt artifacts moved to quarantine (reads, resume, fsck)
-    quarantined_artifacts: int = 0
-    #: process pools rebuilt after a worker crash poisoned one
-    pool_rebuilds: int = 0
-    #: differential fuzz cases executed (see :mod:`repro.fuzz`)
-    fuzz_cases: int = 0
-    #: fuzz cases that produced a finding (pre-dedupe)
-    fuzz_findings: int = 0
-    #: distinct triage signatures among the findings
-    fuzz_unique_findings: int = 0
-    #: campaign wall time (generate + execute + triage + reduce)
-    fuzz_seconds: float = 0.0
-    #: experiment-service submissions accepted into the admission queue
-    jobs_admitted: int = 0
-    #: submissions rejected by load shedding (queue full / draining)
-    jobs_shed: int = 0
-    #: submissions coalesced onto an identical in-flight/completed job
-    #: by single-flight dedup (they consumed no compute)
-    jobs_deduped: int = 0
-    #: worker-pool circuit breaker transitions to the open state
-    breaker_trips: int = 0
-    #: service jobs that reached a terminal state (done or failed)
-    service_jobs_done: int = 0
-    #: total service job execution wall time (queue wait excluded)
-    service_seconds: float = 0.0
-    #: trace chunks consumed by the vector simulation backend (see
-    #: :mod:`repro.fastpath.vector`); stays 0 on legacy
-    vector_chunks_total: int = 0
-    #: design-space sweep points evaluated (see :mod:`repro.sweep`)
-    sweep_points_total: int = 0
-    #: sweep points served entirely from the artifact store (no
-    #: compile/emulate/simulate performed)
-    sweep_points_cached: int = 0
-    #: sweep campaign wall time (expand + fan-out + aggregate)
-    sweep_seconds: float = 0.0
-    #: cluster shards whose lease was broken (dead worker) and re-issued
-    shards_reassigned: int = 0
-    #: zombie lease operations rejected by a higher fencing epoch
-    leases_fenced: int = 0
-    #: straggler shards duplicated near campaign end (first commit wins)
-    hedged_shards: int = 0
-    #: campaign workers declared dead after missed heartbeats
-    workers_lost: int = 0
-    #: engine-ladder demotions (native→jitc→interpreter) recorded by
-    #: the native-engine supervisor (see :mod:`repro.fastpath.supervisor`)
-    engine_demotions: int = 0
-    #: golden-trace parity canary failures (the ``.so`` was quarantined)
-    native_parity_failures: int = 0
-    #: native kernel crashes caught (sandbox canary signal deaths and
-    #: mid-run kernel faults); feeds the service breaker's crash evidence
-    native_kernel_crashes: int = 0
-    #: kernel shared objects quarantined by digest verification / fsck
-    kernel_cache_quarantined: int = 0
+    #: every :data:`COUNTERS` entry, bumped through :meth:`add`
+    counts: dict[str, int | float] = field(default_factory=lambda: {
+        n: 0.0 if n.endswith("_seconds") else 0 for n in COUNTERS})
     #: optional per-stage cProfile collector (see
     #: :mod:`repro.engine.profiling`); attached by the CLI's
     #: ``--profile`` flag, never serialized
@@ -127,15 +156,16 @@ class PipelineMetrics:
 
     # ----- recording ----------------------------------------------------
 
+    def add(self, name: str, n: int | float = 1) -> None:
+        """Bump a registered counter; an unknown name raises KeyError."""
+        self.counts[name] += n
+
     @contextmanager
     def timer(self, stage: str):
         start = time.perf_counter()
-        profiler = self.profiler
         try:
-            if profiler is not None:
-                with profiler.record(stage):
-                    yield
-            else:
+            with nullcontext() if self.profiler is None \
+                    else self.profiler.record(stage):
                 yield
         finally:
             m = self.stages[stage]
@@ -153,44 +183,14 @@ class PipelineMetrics:
     def record_write(self, kind: str, nbytes: int) -> None:
         self.cache[kind].bytes_written += nbytes
 
-    def add_cycles(self, cycles: int) -> None:
-        self.total_cycles_simulated += cycles
-
     def record_stage(self, stage: str, seconds: float,
                      invocations: int = 1) -> None:
-        """Credit pre-measured wall time to a stage.
-
-        The fused vector engine interleaves emulation and simulation
-        inside one call, so it times the simulator feeds itself and
-        reports the split here instead of via :meth:`timer`.
-        """
+        """Credit pre-measured wall time to a stage: the vector engine
+        interleaves emulation and simulation in one call, so it times
+        the simulator feeds itself instead of using :meth:`timer`."""
         m = self.stages.setdefault(stage, StageMetrics())
         m.invocations += invocations
         m.wall_seconds += seconds
-
-    def record_retry(self, backoff_seconds: float) -> None:
-        self.task_retries += 1
-        self.retry_backoff_seconds += backoff_seconds
-
-    def record_quarantine(self, kind: str) -> None:  # noqa: ARG002
-        self.quarantined_artifacts += 1
-
-    def record_fuzz(self, cases: int, findings: int,
-                    unique_findings: int, seconds: float) -> None:
-        self.fuzz_cases += cases
-        self.fuzz_findings += findings
-        self.fuzz_unique_findings += unique_findings
-        self.fuzz_seconds += seconds
-
-    def record_service_job(self, seconds: float) -> None:
-        self.service_jobs_done += 1
-        self.service_seconds += seconds
-
-    def record_sweep(self, points: int, cached: int,
-                     seconds: float) -> None:
-        self.sweep_points_total += points
-        self.sweep_points_cached += cached
-        self.sweep_seconds += seconds
 
     # ----- aggregation --------------------------------------------------
 
@@ -207,44 +207,12 @@ class PipelineMetrics:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
-    @property
-    def compute_seconds(self) -> float:
-        return sum(s.wall_seconds for s in self.stages.values())
-
-    @property
-    def fuzz_cases_per_second(self) -> float:
-        if self.fuzz_seconds <= 0:
-            return 0.0
-        return self.fuzz_cases / self.fuzz_seconds
-
-    @property
-    def fuzz_dedupe_ratio(self) -> float:
-        """unique findings / raw findings (1.0 when nothing deduped)."""
-        if not self.fuzz_findings:
-            return 1.0
-        return self.fuzz_unique_findings / self.fuzz_findings
-
-    @property
-    def service_jobs_per_second(self) -> float:
-        """Service throughput over execution wall time."""
-        if self.service_seconds <= 0:
-            return 0.0
-        return self.service_jobs_done / self.service_seconds
-
-    @property
-    def vector_chunks_per_second(self) -> float:
-        """Vector-backend chunk throughput over simulate wall time."""
-        sim = self.stages.get("simulate")
-        if sim is None or sim.wall_seconds <= 0:
-            return 0.0
-        return self.vector_chunks_total / sim.wall_seconds
-
-    @property
-    def sweep_points_per_second(self) -> float:
-        """Sweep throughput over campaign wall time."""
-        if self.sweep_seconds <= 0:
-            return 0.0
-        return self.sweep_points_total / self.sweep_seconds
+    def rate(self, name: str) -> float:
+        """The :data:`RATES` entry ``name``, unrounded."""
+        _, num, den, _, empty = next(r for r in RATES if r[0] == name)
+        divisor = self.counts[den] if den in self.counts \
+            else getattr(self.stages.get(den), "wall_seconds", 0.0)
+        return self.counts[num] / divisor if divisor > 0 else empty
 
     def merge_dict(self, data: dict) -> None:
         """Fold a worker's :meth:`to_dict` counters into this object."""
@@ -254,47 +222,15 @@ class PipelineMetrics:
             m.wall_seconds += stage.get("wall_seconds", 0.0)
         for kind, traffic in data.get("cache", {}).items():
             c = self.cache.setdefault(kind, CacheMetrics())
-            c.hits += traffic.get("hits", 0)
-            c.misses += traffic.get("misses", 0)
-            c.bytes_read += traffic.get("bytes_read", 0)
-            c.bytes_written += traffic.get("bytes_written", 0)
-        self.total_cycles_simulated += data.get("total_cycles_simulated", 0)
-        self.jobs_dispatched += data.get("jobs_dispatched", 0)
-        self.worker_crashes += data.get("worker_crashes", 0)
-        self.task_retries += data.get("task_retries", 0)
-        self.retry_backoff_seconds += data.get("retry_backoff_seconds", 0.0)
-        self.quarantined_artifacts += data.get("quarantined_artifacts", 0)
-        self.pool_rebuilds += data.get("pool_rebuilds", 0)
-        self.fuzz_cases += data.get("fuzz_cases", 0)
-        self.fuzz_findings += data.get("fuzz_findings", 0)
-        self.fuzz_unique_findings += data.get("fuzz_unique_findings", 0)
-        self.fuzz_seconds += data.get("fuzz_seconds", 0.0)
-        self.jobs_admitted += data.get("jobs_admitted", 0)
-        self.jobs_shed += data.get("jobs_shed", 0)
-        self.jobs_deduped += data.get("jobs_deduped", 0)
-        self.breaker_trips += data.get("breaker_trips", 0)
-        self.service_jobs_done += data.get("service_jobs_done", 0)
-        self.service_seconds += data.get("service_seconds", 0.0)
-        self.vector_chunks_total += data.get("vector_chunks_total", 0)
-        self.sweep_points_total += data.get("sweep_points_total", 0)
-        self.sweep_points_cached += data.get("sweep_points_cached", 0)
-        self.sweep_seconds += data.get("sweep_seconds", 0.0)
-        self.shards_reassigned += data.get("shards_reassigned", 0)
-        self.leases_fenced += data.get("leases_fenced", 0)
-        self.hedged_shards += data.get("hedged_shards", 0)
-        self.workers_lost += data.get("workers_lost", 0)
-        self.engine_demotions += data.get("engine_demotions", 0)
-        self.native_parity_failures += data.get(
-            "native_parity_failures", 0)
-        self.native_kernel_crashes += data.get(
-            "native_kernel_crashes", 0)
-        self.kernel_cache_quarantined += data.get(
-            "kernel_cache_quarantined", 0)
+            for f in ("hits", "misses", "bytes_read", "bytes_written"):
+                setattr(c, f, getattr(c, f) + traffic.get(f, 0))
+        for name in COUNTERS:
+            self.counts[name] += data.get(name, 0)
 
     # ----- output -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
+        data = {
             "schema": SCHEMA_VERSION,
             "stages": {name: {"invocations": m.invocations,
                               "wall_seconds": round(m.wall_seconds, 6)}
@@ -307,62 +243,24 @@ class PipelineMetrics:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_hit_rate": round(self.hit_rate, 4),
-            "total_cycles_simulated": self.total_cycles_simulated,
-            "jobs_dispatched": self.jobs_dispatched,
-            "worker_crashes": self.worker_crashes,
-            "task_retries": self.task_retries,
-            "retry_backoff_seconds": round(self.retry_backoff_seconds, 6),
-            "quarantined_artifacts": self.quarantined_artifacts,
-            "pool_rebuilds": self.pool_rebuilds,
-            "fuzz_cases": self.fuzz_cases,
-            "fuzz_findings": self.fuzz_findings,
-            "fuzz_unique_findings": self.fuzz_unique_findings,
-            "fuzz_seconds": round(self.fuzz_seconds, 6),
-            "fuzz_cases_per_second": round(self.fuzz_cases_per_second, 3),
-            "fuzz_dedupe_ratio": round(self.fuzz_dedupe_ratio, 4),
-            "jobs_admitted": self.jobs_admitted,
-            "jobs_shed": self.jobs_shed,
-            "jobs_deduped": self.jobs_deduped,
-            "breaker_trips": self.breaker_trips,
-            "service_jobs_done": self.service_jobs_done,
-            "service_seconds": round(self.service_seconds, 6),
-            "service_jobs_per_second": round(
-                self.service_jobs_per_second, 3),
-            "vector_chunks_total": self.vector_chunks_total,
-            "vector_chunks_per_second": round(
-                self.vector_chunks_per_second, 3),
-            "sweep_points_total": self.sweep_points_total,
-            "sweep_points_cached": self.sweep_points_cached,
-            "sweep_seconds": round(self.sweep_seconds, 6),
-            "sweep_points_per_second": round(
-                self.sweep_points_per_second, 3),
-            "shards_reassigned": self.shards_reassigned,
-            "leases_fenced": self.leases_fenced,
-            "hedged_shards": self.hedged_shards,
-            "workers_lost": self.workers_lost,
-            "engine_demotions": self.engine_demotions,
-            "native_parity_failures": self.native_parity_failures,
-            "native_kernel_crashes": self.native_kernel_crashes,
-            "kernel_cache_quarantined": self.kernel_cache_quarantined,
         }
+        for name in COUNTERS:
+            value = self.counts[name]
+            data[name] = round(value, 6) if isinstance(value, float) \
+                else value
+            for rate, _, _, digits, _ in _RATES_AFTER[name]:
+                data[rate] = round(self.rate(rate), digits)
+        return data
 
     def write_json(self, path: str) -> None:
         """Dump the counters as ``BENCH_pipeline.json``-style JSON.
 
-        If ``path`` already holds a bench file, its timing trajectory is
-        carried forward: every write appends one dated entry (stage wall
-        times + cycle volume) to a bounded ``history`` list, so the
-        committed baseline records how the pipeline's performance moved
-        over time, not just its latest snapshot.
+        A bench file already at ``path`` keeps its timing trajectory:
+        every write appends one dated entry (stage wall times + cycle
+        volume) to a bounded ``history`` list.
         """
         data = self.to_dict()
-        history: list[dict] = []
-        try:
-            with open(path) as handle:
-                previous = json.load(handle)
-            history = list(previous.get("history", []))
-        except (OSError, ValueError):
-            pass
+        history = list(_read_json(path).get("history", []))
         history.append({
             "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "schema": data["schema"],
@@ -374,6 +272,14 @@ class PipelineMetrics:
         with open(path, "w") as handle:
             json.dump(data, handle, indent=2, sort_keys=True)
             handle.write("\n")
+
+    def accumulate_json(self, path: str) -> None:
+        """Fold the bench file at ``path`` (if any) into these counters,
+        then :meth:`write_json` it back: fuzz campaigns and the service
+        add their counters to a baseline instead of replacing it.
+        """
+        self.merge_dict(_read_json(path))
+        self.write_json(path)
 
     def render(self) -> str:
         """Human-readable pipeline summary block."""
@@ -393,65 +299,25 @@ class PipelineMetrics:
                              f"{written / 1024:.1f} KiB written")
         else:
             lines.append("  cache     (disabled)")
-        lines.append(f"  simulated {self.total_cycles_simulated} cycles")
-        if self.jobs_dispatched:
-            lines.append(f"  jobs      {self.jobs_dispatched} dispatched, "
-                         f"{self.worker_crashes} worker crashes")
-        if self.task_retries or self.quarantined_artifacts \
-                or self.pool_rebuilds:
-            lines.append(
-                f"  recovery  {self.task_retries} retries "
-                f"({self.retry_backoff_seconds:.2f}s backoff), "
-                f"{self.quarantined_artifacts} quarantined, "
-                f"{self.pool_rebuilds} pool rebuilds")
-        if self.fuzz_cases:
-            lines.append(
-                f"  fuzz      {self.fuzz_cases} cases in "
-                f"{self.fuzz_seconds:.2f}s "
-                f"({self.fuzz_cases_per_second:.1f}/s), "
-                f"{self.fuzz_findings} findings "
-                f"({self.fuzz_unique_findings} unique, dedupe ratio "
-                f"{self.fuzz_dedupe_ratio:.2f})")
-        if self.jobs_admitted or self.jobs_shed or self.jobs_deduped:
-            lines.append(
-                f"  service   {self.jobs_admitted} admitted, "
-                f"{self.jobs_shed} shed, {self.jobs_deduped} deduped, "
-                f"{self.breaker_trips} breaker trips, "
-                f"{self.service_jobs_done} done in "
-                f"{self.service_seconds:.2f}s "
-                f"({self.service_jobs_per_second:.2f}/s)")
-        if self.vector_chunks_total:
-            lines.append(
-                f"  vector    {self.vector_chunks_total} chunks "
-                f"({self.vector_chunks_per_second:.1f}/s over simulate "
-                f"time)")
-        if self.sweep_points_total:
-            lines.append(
-                f"  sweep     {self.sweep_points_total} points "
-                f"({self.sweep_points_cached} warm) in "
-                f"{self.sweep_seconds:.2f}s "
-                f"({self.sweep_points_per_second:.2f}/s)")
-        if self.shards_reassigned or self.leases_fenced \
-                or self.hedged_shards or self.workers_lost:
-            lines.append(
-                f"  cluster   {self.workers_lost} workers lost, "
-                f"{self.shards_reassigned} shards reassigned, "
-                f"{self.hedged_shards} hedged, "
-                f"{self.leases_fenced} leases fenced")
-        if self.engine_demotions or self.native_parity_failures \
-                or self.native_kernel_crashes \
-                or self.kernel_cache_quarantined:
-            lines.append(
-                f"  native    {self.engine_demotions} demotions, "
-                f"{self.native_kernel_crashes} kernel crashes, "
-                f"{self.native_parity_failures} parity failures, "
-                f"{self.kernel_cache_quarantined} kernel artifacts "
-                f"quarantined")
+        values = dict(self.counts)
+        values.update((r[0], self.rate(r[0])) for r in RATES)
+        for label, when, fmt in _RENDER:
+            if not when or any(self.counts[n] for n in when):
+                lines.append(f"  {label:<9s} " + fmt.format(**values))
         return "\n".join(lines)
 
 
 #: bound on the trajectory carried inside a bench JSON file
 _HISTORY_LIMIT = 50
+
+
+def _read_json(path: str) -> dict:
+    """An existing bench file's contents; empty when absent or corrupt."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except (OSError, ValueError):
+        return {}
 
 
 def compare_stage_walltimes(current: dict, baseline: dict,
@@ -467,19 +333,14 @@ def compare_stage_walltimes(current: dict, baseline: dict,
     """
     regressions: list[str] = []
     for name, base in baseline.get("stages", {}).items():
+        cur = current.get("stages", {}).get(name) or {}
         base_wall = base.get("wall_seconds", 0.0)
         base_inv = base.get("invocations", 0)
-        if base_wall < min_seconds or not base_inv:
-            continue
-        cur = current.get("stages", {}).get(name)
-        if cur is None:
-            continue
-        cur_wall = cur.get("wall_seconds", 0.0)
         cur_inv = cur.get("invocations", 0)
-        if not cur_inv:
+        if base_wall < min_seconds or not base_inv or not cur_inv:
             continue
         base_per = base_wall / base_inv
-        cur_per = cur_wall / cur_inv
+        cur_per = cur.get("wall_seconds", 0.0) / cur_inv
         if cur_per > base_per * (1.0 + threshold):
             regressions.append(
                 f"{name}: {cur_per * 1000:.2f} ms/invocation vs baseline "

@@ -19,7 +19,7 @@ three failure classes:
   *skipped*, mirroring the experiment suite's ``degrade`` quarantine;
 * **worker crashes** — a worker died (segfault, ``os._exit``, OOM
   kill), which poisons the whole pool.  The pool is rebuilt (counted in
-  ``PipelineMetrics.pool_rebuilds``) and, after repeated breakages,
+  the ``pool_rebuilds`` metrics counter) and, after repeated breakages,
   *shrunk* one worker at a time (floor 1) with a structured warning —
   degraded throughput beats an aborted DAG.  A breakage with several
   jobs in flight is ambiguous, so it is counted against *nobody*: every
@@ -220,7 +220,8 @@ def _execute_serial(order: list[Job], by_id: dict[str, Job],
                 exc = classify_exception(raw)
                 if retry.should_retry(exc, attempt):
                     backoff = retry.backoff(job.job_id, attempt)
-                    metrics.record_retry(backoff)
+                    metrics.add("task_retries")
+                    metrics.add("retry_backoff_seconds", backoff)
                     logger.warning(
                         "retrying job after transient failure: "
                         "job=%s attempt=%d error=%s backoff=%.3fs",
@@ -300,7 +301,7 @@ def _execute_pool(order: list[Job], by_id: dict[str, Job],
     def rebuild_pool() -> None:
         nonlocal executor, workers, pool_breakages
         pool_breakages += 1
-        metrics.pool_rebuilds += 1
+        metrics.add("pool_rebuilds")
         executor.shutdown(wait=False, cancel_futures=True)
         if pool_breakages > 1 and workers > 1:
             workers -= 1
@@ -345,7 +346,8 @@ def _execute_pool(order: list[Job], by_id: dict[str, Job],
                     attempt = attempts.get(job.job_id, 1)
                     if retry.should_retry(exc, attempt):
                         backoff = retry.backoff(job.job_id, attempt)
-                        metrics.record_retry(backoff)
+                        metrics.add("task_retries")
+                        metrics.add("retry_backoff_seconds", backoff)
                         logger.warning(
                             "retrying job after transient failure: "
                             "job=%s attempt=%d error=%s backoff=%.3fs",

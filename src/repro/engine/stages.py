@@ -339,7 +339,7 @@ class PipelineContext:
                 else:
                     stats = simulate_trace(trace, compiled.addresses,
                                            machine)
-            self.metrics.add_cycles(stats.cycles)
+            self.metrics.add("total_cycles_simulated", stats.cycles)
             summary = RunSummary(stats=stats,
                                  return_value=execution.return_value,
                                  static_size=compiled.static_size)

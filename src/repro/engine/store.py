@@ -210,7 +210,7 @@ class ArtifactStore:
         if reason:
             dest.with_name(dest.name + ".reason").write_text(
                 reason + "\n")
-        self.metrics.record_quarantine(kind)
+        self.metrics.add("quarantined_artifacts")
         return dest
 
     # ----- maintenance --------------------------------------------------

@@ -385,7 +385,7 @@ class ExperimentSuite:
         jobs, warm = self.plan(needs)
         if not jobs:
             return warm
-        self.metrics.jobs_dispatched += len(jobs)
+        self.metrics.add("jobs_dispatched", len(jobs))
         if self.journal is not None:
             self.journal.task_starts([job.job_id for job in jobs])
         workers.adopt(self._spec, self.ctx)
@@ -402,7 +402,7 @@ class ExperimentSuite:
         """Map scheduler failures onto the suite's failure policy."""
         for failure in failures:
             if failure.crashed:
-                self.metrics.worker_crashes += 1
+                self.metrics.add("worker_crashes")
             if self.journal is not None:
                 self.journal.task_fail(
                     failure.job_id, failure.error_type, failure.message,

@@ -33,11 +33,12 @@ compiler.  This module owns everything about *trusting* that code:
   one rung — native → jitc → interpreter — recorded as a structured
   :class:`DegradationEvent` plus counters (``engine_demotions``,
   ``native_parity_failures``, ``native_kernel_crashes``,
-  ``kernel_cache_quarantined``) that :func:`drain_into` folds into a
-  :class:`~repro.engine.metrics.PipelineMetrics`, so demotions reach
-  ``BENCH_pipeline.json`` and the service breaker.  All rungs are
-  byte-identical, so degradation is observable but never changes a
-  figure.
+  ``kernel_cache_quarantined``, each a registered
+  :data:`~repro.engine.metrics.COUNTERS` name) that :func:`drain_into`
+  adds to a :class:`~repro.engine.metrics.PipelineMetrics`, so
+  demotions reach ``BENCH_pipeline.json`` and the service breaker.
+  All rungs are byte-identical, so degradation is observable but never
+  changes a figure.
 
 ``REPRO_NATIVE`` / ``REPRO_KERNEL_CACHE`` / ``REPRO_NATIVE_CFLAGS``
 are resolved exactly once per process (at first use); a mid-run env
@@ -261,17 +262,17 @@ def counters_snapshot() -> dict[str, int]:
 
 
 def drain_into(metrics) -> None:
-    """Fold undrained counter deltas into a ``PipelineMetrics``.
-
-    Deltas are moved, not copied: two contexts draining the same
-    process state split the totals instead of double-counting them.
+    """Fold undrained counter deltas into a ``PipelineMetrics`` via
+    ``metrics.add``.  Deltas are moved, not copied: two contexts
+    draining the same process state split the totals instead of
+    double-counting them.
     """
     with _lock:
         state = _get_state()
         for name in _COUNTER_NAMES:
             delta = state.counters[name] - state.drained[name]
             if delta:
-                setattr(metrics, name, getattr(metrics, name) + delta)
+                metrics.add(name, delta)
                 state.drained[name] = state.counters[name]
 
 

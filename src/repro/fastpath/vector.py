@@ -820,7 +820,7 @@ def simulate_columns_vector(cols: TraceColumns,
     else:
         sim.feed(cols)
     if metrics is not None:
-        metrics.vector_chunks_total += sim.chunks_fed
+        metrics.add("vector_chunks_total", sim.chunks_fed)
     return sim.finish()
 
 
@@ -896,7 +896,7 @@ def emulate_and_simulate_vector(
     mid = perf_counter()
     stats = sim.finish()
     if metrics is not None:
-        metrics.vector_chunks_total += sim.chunks_fed
+        metrics.add("vector_chunks_total", sim.chunks_fed)
         sim_wall = sim_seconds[0] + (perf_counter() - mid)
         metrics.record_stage("emulate", max(mid - begin - sim_seconds[0],
                                             0.0))

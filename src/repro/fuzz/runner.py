@@ -206,10 +206,10 @@ def run_campaign(master_seed: int, budget: int, *, jobs: int = 1,
 
     result.wall_seconds = time.perf_counter() - start
     if metrics is not None:
-        metrics.record_fuzz(cases=result.case_count,
-                            findings=result.finding_count,
-                            unique_findings=result.unique_findings,
-                            seconds=result.wall_seconds)
+        metrics.add("fuzz_cases", result.case_count)
+        metrics.add("fuzz_findings", result.finding_count)
+        metrics.add("fuzz_unique_findings", result.unique_findings)
+        metrics.add("fuzz_seconds", result.wall_seconds)
     return result
 
 

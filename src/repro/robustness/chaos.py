@@ -124,11 +124,11 @@ def _inject_worker_crash(jobs: int) -> ChaosReport:
     ok = outcome.ok \
         and outcome.results.get("chaos-crash") == {"survived": True} \
         and outcome.results.get("chaos-steady") == 42 \
-        and metrics.pool_rebuilds >= 1
+        and metrics.counts["pool_rebuilds"] >= 1
     return _report(
         "worker-crash-retry", description, "recover", ok,
         "recovered" if ok else "NOT recovered",
-        f"{metrics.pool_rebuilds} pool rebuilds, "
+        f"{metrics.counts['pool_rebuilds']} pool rebuilds, "
         f"{len(outcome.failures)} failures, "
         f"{len(outcome.results)}/3 jobs completed")
 
@@ -154,7 +154,7 @@ def _inject_artifact_truncate() -> ChaosReport:
         quarantined = [p for p in quarantined
                        if not p.name.endswith(".reason")]
         ok = first is None and second == payload \
-            and store.metrics.quarantined_artifacts == 1 \
+            and store.metrics.counts["quarantined_artifacts"] == 1 \
             and len(quarantined) == 1
     return _report(
         "artifact-truncate", description, "recover", ok,

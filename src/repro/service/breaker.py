@@ -9,7 +9,7 @@ per executed job and switches execution mode:
 
 * **closed** — healthy; jobs run with the configured process pool;
 * **open** — ``threshold`` crash-evidence jobs inside ``window``
-  seconds tripped it (counted in ``PipelineMetrics.breaker_trips``);
+  seconds tripped it (counted in the ``breaker_trips`` metrics counter);
   jobs run *serially in-process* instead — degraded throughput, but
   the service keeps answering;
 * **half-open** — after ``cooldown`` seconds open, exactly one trial

@@ -687,11 +687,11 @@ def run_cluster_sweep(spec: SweepSpec, cache_dir: str,
     # Fold the campaign's durable evidence into the metrics the caller
     # serializes to BENCH_pipeline.json.
     lost = store.events("lost")
-    metrics.shards_reassigned += sum(1 for e in lost
-                                     if not e.get("hedge"))
-    metrics.workers_lost += len({e.get("worker") for e in lost})
-    metrics.leases_fenced += store.count_events("fenced")
-    metrics.hedged_shards += store.count_events("hedge")
+    metrics.add("shards_reassigned",
+                sum(1 for e in lost if not e.get("hedge")))
+    metrics.add("workers_lost", len({e.get("worker") for e in lost}))
+    metrics.add("leases_fenced", store.count_events("fenced"))
+    metrics.add("hedged_shards", store.count_events("hedge"))
     for shard in range(shards):
         marker = store.done(shard)
         if marker and isinstance(marker.get("counters"), dict):

@@ -176,7 +176,7 @@ class ExperimentService:
             record.state = QUEUED
             self.registry.admit(record)
             self.quotas.restore(record.tenant)
-            self.metrics.jobs_admitted += 1
+            self.metrics.add("jobs_admitted")
             self._queue.put_nowait(record)
             recovered += 1
         if recovered:
@@ -219,29 +219,20 @@ class ExperimentService:
             writer.close()
         if self._conn_tasks:
             await asyncio.wait(self._conn_tasks, timeout=2.0)
-        self._write_bench()
+        if self.config.bench_json:
+            self.metrics.accumulate_json(self.config.bench_json)
         try:
             endpoint_path(self.config.cache_dir).unlink()
         except OSError:
             pass
         return clean
 
-    def _write_bench(self) -> None:
-        if not self.config.bench_json:
-            return
-        try:
-            with open(self.config.bench_json) as handle:
-                self.metrics.merge_dict(json.load(handle))
-        except (OSError, ValueError):
-            pass
-        self.metrics.write_json(self.config.bench_json)
-
     # ----- admission ----------------------------------------------------
 
     def _retry_after_hint(self) -> float:
         """Rough time for one queue slot to free up."""
-        done = self.metrics.service_jobs_done
-        avg = (self.metrics.service_seconds / done) if done else 2.0
+        done = self.metrics.counts["service_jobs_done"]
+        avg = self.metrics.counts["service_seconds"] / done if done else 2.0
         return max(0.5, round(
             avg * (self._queue.qsize() + 1)
             / max(1, self.config.workers), 2))
@@ -265,14 +256,14 @@ class ExperimentService:
         existing = self.registry.coalesce(digest)
         if existing is not None:
             existing.observers += 1
-            self.metrics.jobs_deduped += 1
+            self.metrics.add("jobs_deduped")
             return existing, True
         # A genuinely new execution: quota first (so a rate-limited
         # tenant cannot consume queue slots), then the bounded queue.
         self.quotas.admit(tenant)
         if self._queue.qsize() >= self.config.queue_depth:
             self.quotas.release(tenant)
-            self.metrics.jobs_shed += 1
+            self.metrics.add("jobs_shed")
             raise ServiceOverloadedError(
                 f"admission queue is full ({self.config.queue_depth} "
                 f"jobs) — load shed",
@@ -284,7 +275,7 @@ class ExperimentService:
                            submitted_at=time.time())
         save_record(self.config.cache_dir, record)
         self.registry.admit(record)
-        self.metrics.jobs_admitted += 1
+        self.metrics.add("jobs_admitted")
         self._queue.put_nowait(record)
         return record, False
 
@@ -333,9 +324,10 @@ class ExperimentService:
             crash_evidence = outcome.crash_evidence
         finally:
             self.breaker.record(mode, crash_evidence)
-            self.metrics.breaker_trips = self.breaker.trips
+            self.metrics.counts["breaker_trips"] = self.breaker.trips
             record.finished_at = time.time()
-            self.metrics.record_service_job(time.monotonic() - start)
+            self.metrics.add("service_jobs_done")
+            self.metrics.add("service_seconds", time.monotonic() - start)
             save_record(self.config.cache_dir, record)
             self.registry.finish(record)
             self.quotas.release(record.tenant)

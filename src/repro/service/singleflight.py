@@ -3,8 +3,8 @@
 Every submission resolves to a :class:`JobRecord` keyed by its spec's
 CAS request digest.  The registry guarantees at most one *live*
 execution per digest: concurrent identical submissions attach to the
-existing record as observers (counted in
-``PipelineMetrics.jobs_deduped``) and all read the same byte-identical
+existing record as observers (counted in the ``jobs_deduped`` metrics
+counter) and all read the same byte-identical
 ``result_json`` when it completes.  Completed records stay in a
 bounded done-cache so an identical submission arriving later is served
 with zero compute; a *failed* record is retried by the next

@@ -108,8 +108,9 @@ def run_sweep(spec: SweepSpec, cache_dir: str | None = None,
         suite.close_journal(ok=False)
         raise
     suite.close_journal(ok=True)
-    suite.metrics.record_sweep(len(points), cached,
-                               time.monotonic() - start)
+    suite.metrics.add("sweep_points_total", len(points))
+    suite.metrics.add("sweep_points_cached", cached)
+    suite.metrics.add("sweep_seconds", time.monotonic() - start)
     return SweepOutcome(result=result, metrics=suite.metrics,
                         run_id=suite.run_id, points_total=len(points),
                         points_cached=cached,

@@ -117,8 +117,8 @@ def test_sigkill_mid_shard_reassigns_and_stays_byte_identical(tmp_path):
     retirer.join(timeout=30)
 
     assert out.result.to_json() == single_node_reference(tmp_path)
-    assert metrics.shards_reassigned >= 1
-    assert metrics.workers_lost >= 1
+    assert metrics.counts["shards_reassigned"] >= 1
+    assert metrics.counts["workers_lost"] >= 1
     (lost,) = [json.loads(p.read_text())
                for p in (cdir / "events").glob("lost-*.json")]
     assert lost["error"] == "WorkerLostError"

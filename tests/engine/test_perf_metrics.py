@@ -3,8 +3,11 @@ timing trajectories, per-stage profiling."""
 
 import json
 
-from repro.engine.keys import stable_digest
-from repro.engine.metrics import (PipelineMetrics, compare_stage_walltimes)
+import pytest
+
+from repro.engine.keys import KINDS, stable_digest
+from repro.engine.metrics import (COUNTERS, STAGES, PipelineMetrics,
+                                  compare_stage_walltimes)
 from repro.engine.profiling import StageProfiler
 from repro.engine.store import ArtifactStore
 
@@ -42,6 +45,112 @@ def test_metrics_merge_and_json_carry_byte_counters(tmp_path):
     assert parent.cache["stats"].bytes_read == 100
     assert parent.cache["stats"].bytes_written == 250
     assert parent.to_dict()["cache"]["stats"]["bytes_written"] == 250
+
+
+# ----- counter registry contract -----------------------------------------
+
+#: ``to_dict()`` keys in order.  CI's service-smoke and cluster-smoke jobs
+#: read jobs_admitted, jobs_deduped, jobs_shed, service_jobs_done,
+#: breaker_trips, shards_reassigned, leases_fenced, hedged_shards and
+#: workers_lost by name from ``--bench-json`` files.
+PINNED_KEYS = [
+    "schema", "stages", "cache", "cache_hits", "cache_misses",
+    "cache_hit_rate", "total_cycles_simulated", "jobs_dispatched",
+    "worker_crashes", "task_retries", "retry_backoff_seconds",
+    "quarantined_artifacts", "pool_rebuilds", "fuzz_cases",
+    "fuzz_findings", "fuzz_unique_findings", "fuzz_seconds",
+    "fuzz_cases_per_second", "fuzz_dedupe_ratio", "jobs_admitted",
+    "jobs_shed", "jobs_deduped", "breaker_trips", "service_jobs_done",
+    "service_seconds", "service_jobs_per_second", "vector_chunks_total",
+    "vector_chunks_per_second", "sweep_points_total",
+    "sweep_points_cached", "sweep_seconds", "sweep_points_per_second",
+    "shards_reassigned", "leases_fenced", "hedged_shards", "workers_lost",
+    "engine_demotions", "native_parity_failures", "native_kernel_crashes",
+    "kernel_cache_quarantined",
+]
+
+#: ``render()`` of :func:`_populated`, as the hand-written renderer
+#: that preceded the registry printed it
+GOLDEN_RENDER = """\
+pipeline metrics
+----------------
+  frontend      1 computed in     0.50s
+  profile       2 computed in     1.50s
+  lower         3 computed in     2.50s
+  compile       4 computed in     3.50s
+  emulate       5 computed in     4.50s
+  simulate      6 computed in     5.50s
+  cache     15/35 hits (42.9%)
+  bytes     15.0 KiB read, 12.5 KiB written
+  simulated 1 cycles
+  jobs      2 dispatched, 3 worker crashes
+  recovery  4 retries (5.25s backoff), 6 quarantined, 7 pool rebuilds
+  fuzz      8 cases in 11.25s (0.7/s), 9 findings (10 unique, dedupe \
+ratio 1.11)
+  service   12 admitted, 13 shed, 14 deduped, 15 breaker trips, 16 done \
+in 17.25s (0.93/s)
+  vector    18 chunks (3.3/s over simulate time)
+  sweep     19 points (20 warm) in 21.25s (0.89/s)
+  cluster   25 workers lost, 22 shards reassigned, 24 hedged, 23 leases \
+fenced
+  native    26 demotions, 28 kernel crashes, 27 parity failures, 29 \
+kernel artifacts quarantined"""
+
+
+def _populated() -> PipelineMetrics:
+    """Every stage, cache kind and counter at a distinct non-zero value
+    (``*_seconds`` counters as floats)."""
+    metrics = PipelineMetrics()
+    for i, stage in enumerate(STAGES):
+        metrics.record_stage(stage, i + 0.5, invocations=i + 1)
+    for i, kind in enumerate(KINDS):
+        for _ in range(i + 1):
+            metrics.record_hit(kind, 1024)
+        for _ in range(i + 2):
+            metrics.record_miss(kind)
+        metrics.record_write(kind, 512 * (i + 3))
+    for i, name in enumerate(COUNTERS):
+        metrics.add(name, i + 1.25 if name.endswith("_seconds") else i + 1)
+    return metrics
+
+
+def test_to_dict_keys_are_pinned():
+    assert list(PipelineMetrics().to_dict()) == PINNED_KEYS
+    assert list(_populated().to_dict()) == PINNED_KEYS
+
+
+def test_every_counter_survives_a_merge_round_trip():
+    original = _populated()
+    merged = PipelineMetrics()
+    merged.merge_dict(json.loads(json.dumps(original.to_dict())))
+    assert merged.counts == original.counts
+    for name, value in merged.counts.items():
+        assert value, name
+        assert type(value) is type(original.counts[name]), name
+        assert isinstance(value, float) == name.endswith("_seconds"), name
+    assert merged.to_dict() == original.to_dict()
+
+
+def test_render_of_every_counter_matches_golden():
+    assert _populated().render() == GOLDEN_RENDER
+
+
+def test_unknown_counter_raises():
+    with pytest.raises(KeyError):
+        PipelineMetrics().add("no_such_counter")
+
+
+def test_accumulate_json_folds_the_existing_file(tmp_path):
+    path = tmp_path / "bench.json"
+    first = PipelineMetrics()
+    first.add("fuzz_cases", 3)
+    first.accumulate_json(str(path))
+    second = PipelineMetrics()
+    second.add("fuzz_cases", 4)
+    second.accumulate_json(str(path))
+    data = json.loads(path.read_text())
+    assert data["fuzz_cases"] == 7
+    assert len(data["history"]) == 2
 
 
 # ----- regression comparison ----------------------------------------------

@@ -122,4 +122,4 @@ def test_verify_completed_quarantines_mismatches(tmp_path):
     assert "missing" in invalid["t2"]
     # The mismatched bytes were moved aside, not trusted.
     assert not store.contains("stats", key)
-    assert store.metrics.quarantined_artifacts == 1
+    assert store.metrics.counts["quarantined_artifacts"] == 1

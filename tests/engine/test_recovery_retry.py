@@ -83,8 +83,8 @@ def test_serial_retry_recovers_from_transient_failure(tmp_path):
                            metrics=metrics)
     assert outcome.ok
     assert outcome.results["flaky"] == 2
-    assert metrics.task_retries == 1
-    assert metrics.retry_backoff_seconds > 0.0
+    assert metrics.counts["task_retries"] == 1
+    assert metrics.counts["retry_backoff_seconds"] > 0.0
 
 
 def test_serial_retry_exhaustion_records_final_failure(tmp_path):
@@ -104,7 +104,7 @@ def test_serial_permanent_failure_is_not_retried(tmp_path):
     jobs = [Job(job_id="perm", fn=jobhelpers.fail)]
     metrics = PipelineMetrics()
     outcome = execute_jobs(jobs, max_workers=1, metrics=metrics)
-    assert metrics.task_retries == 0
+    assert metrics.counts["task_retries"] == 0
     assert outcome.failures[0].attempts == 1
     assert not outcome.failures[0].transient
 
@@ -121,7 +121,7 @@ def test_pool_retry_recovers_from_transient_failure(tmp_path):
                            metrics=metrics)
     assert outcome.ok
     assert outcome.results == {"flaky": 2, "steady": 7}
-    assert metrics.task_retries >= 1
+    assert metrics.counts["task_retries"] >= 1
 
 
 def test_pool_crash_rebuilds_and_recovers(tmp_path):
@@ -133,7 +133,7 @@ def test_pool_crash_rebuilds_and_recovers(tmp_path):
     outcome = execute_jobs(jobs, max_workers=2, metrics=metrics)
     assert outcome.ok
     assert outcome.results["crasher"] == "survived"
-    assert metrics.pool_rebuilds >= 1
+    assert metrics.counts["pool_rebuilds"] >= 1
 
 
 def test_on_complete_fires_per_success():

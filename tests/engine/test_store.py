@@ -46,7 +46,7 @@ def test_corrupted_artifact_is_quarantined_and_missed(tmp_path):
     path.write_bytes(bytes(blob))
     assert store.get("execution", KEY) is None
     assert store.metrics.cache["execution"].misses == 1
-    assert store.metrics.quarantined_artifacts == 1
+    assert store.metrics.counts["quarantined_artifacts"] == 1
     # The corrupt bytes moved aside (with a reason sidecar), the
     # lookup path is free for a recompute to rewrite.
     assert not path.exists()

@@ -56,7 +56,7 @@ def test_warm_parallel_run_is_compute_free_and_identical(cold_run):
     assert warm.figure8() == table
     _assert_compute_free(warm)
     # Every DAG node was store-resident: nothing was even dispatched.
-    assert warm.metrics.jobs_dispatched == 0
+    assert warm.metrics.counts["jobs_dispatched"] == 0
 
 
 def test_single_run_is_served_from_store(cold_run):
@@ -76,7 +76,7 @@ def test_cold_parallel_run_matches_serial(cold_run, tmp_path):
                                jobs=2)
     parallel_table = parallel.figure8()
     assert parallel_table["wc"] == table["wc"]
-    assert parallel.metrics.jobs_dispatched > 0
+    assert parallel.metrics.counts["jobs_dispatched"] > 0
 
 
 def test_scale_change_cold_starts_the_cache(cold_run):

@@ -199,16 +199,16 @@ def test_drain_moves_deltas_instead_of_copying(fresh_cache):
     supervisor.demote("probe one")
     first = PipelineMetrics()
     supervisor.drain_into(first)
-    assert first.engine_demotions == 1
+    assert first.counts["engine_demotions"] == 1
     # Nothing new since the drain: a second sink gets nothing.
     second = PipelineMetrics()
     supervisor.drain_into(second)
-    assert second.engine_demotions == 0
+    assert second.counts["engine_demotions"] == 0
     # Only the delta since the last drain moves.
     supervisor.demote("probe two")
     assert supervisor.current_engine() == "interpreter"
     supervisor.drain_into(second)
-    assert second.engine_demotions == 1
+    assert second.counts["engine_demotions"] == 1
 
 
 def test_demotion_below_interpreter_is_a_noop(fresh_cache):

@@ -168,8 +168,8 @@ def test_pipeline_context_engines_agree():
     for ctx in contexts.values():
         assert ctx.metrics.stages["emulate"].invocations == 1
         assert ctx.metrics.stages["simulate"].invocations == 1
-    assert contexts["legacy"].metrics.vector_chunks_total == 0
-    assert contexts["vector"].metrics.vector_chunks_total >= 1
+    assert contexts["legacy"].metrics.counts["vector_chunks_total"] == 0
+    assert contexts["vector"].metrics.counts["vector_chunks_total"] >= 1
     data = contexts["vector"].metrics.to_dict()
     assert data["vector_chunks_total"] >= 1
     assert "vector_chunks_per_second" in data

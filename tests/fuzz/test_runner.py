@@ -36,16 +36,16 @@ def test_campaign_records_metrics(fast_config, tmp_path):
     result = run_campaign(0xfeed, 2, config=fast_config,
                           corpus_dir=tmp_path, save_findings=False,
                           metrics=metrics)
-    assert metrics.fuzz_cases == 2
-    assert metrics.fuzz_findings == result.finding_count == 0
-    assert metrics.fuzz_seconds > 0
-    assert metrics.fuzz_cases_per_second > 0
+    assert metrics.counts["fuzz_cases"] == 2
+    assert metrics.counts["fuzz_findings"] == result.finding_count == 0
+    assert metrics.counts["fuzz_seconds"] > 0
+    assert metrics.rate("fuzz_cases_per_second") > 0
     data = metrics.to_dict()
     assert data["fuzz_cases"] == 2
     assert data["fuzz_dedupe_ratio"] == 1.0
     merged = PipelineMetrics()
     merged.merge_dict(data)
-    assert merged.fuzz_cases == 2
+    assert merged.counts["fuzz_cases"] == 2
 
 
 def test_injected_findings_are_deduped_reduced_and_saved(

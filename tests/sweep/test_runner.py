@@ -34,7 +34,7 @@ def test_warm_rerun_is_zero_compute(tmp_path):
     assert warm.points_cached == warm.points_total == 4
     for stage in ("compile", "emulate", "simulate"):
         assert warm.metrics.stages[stage].invocations == 0
-    assert warm.metrics.sweep_points_cached == 4
+    assert warm.metrics.counts["sweep_points_cached"] == 4
 
 
 def test_compiles_shared_across_cache_configs(tmp_path):
