@@ -18,10 +18,14 @@ def successors_map(fn: Function) -> dict[str, list[str]]:
     return succs
 
 
-def predecessors_map(fn: Function) -> dict[str, list[str]]:
+def predecessors_map(fn: Function,
+                     succs: dict[str, list[str]] | None = None
+                     ) -> dict[str, list[str]]:
+    if succs is None:
+        succs = successors_map(fn)
     preds: dict[str, list[str]] = {b.name: [] for b in fn.blocks}
-    for name, succs in successors_map(fn).items():
-        for s in succs:
+    for name, targets in succs.items():
+        for s in targets:
             preds[s].append(name)
     return preds
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.liveness import live_before_each, liveness
+from repro.analysis.liveness import (class_masks, live_before_each,
+                                     liveness)
 from repro.ir.function import Function, Program
 from repro.ir.operands import PReg, VReg
 
@@ -38,6 +39,7 @@ class PressureStats:
 def function_pressure(fn: Function) -> PressureStats:
     """Liveness-based pressure over every program point of ``fn``."""
     live = liveness(fn)
+    floats, preds = class_masks(fn)
     max_int = max_float = max_pred = 0
     total = 0
     points = 0
@@ -50,19 +52,15 @@ def function_pressure(fn: Function) -> PressureStats:
                     used_vregs.add(r)
                 elif isinstance(r, PReg):
                     used_pregs.add(r)
-        per_point = live_before_each(block,
-                                     live.live_out[block.name],
-                                     live.live_in)
-        for regs in per_point:
-            ints = sum(1 for r in regs
-                       if isinstance(r, VReg) and not r.is_float)
-            floats = sum(1 for r in regs
-                         if isinstance(r, VReg) and r.is_float)
-            preds = sum(1 for r in regs if isinstance(r, PReg))
-            max_int = max(max_int, ints)
-            max_float = max(max_float, floats)
-            max_pred = max(max_pred, preds)
-            total += ints + floats + preds
+        for regs in live_before_each(block, live.live_out[block.name],
+                                     live=live):
+            n_float = (regs & floats).bit_count()
+            n_pred = (regs & preds).bit_count()
+            n_int = regs.bit_count() - n_float - n_pred
+            max_int = max(max_int, n_int)
+            max_float = max(max_float, n_float)
+            max_pred = max(max_pred, n_pred)
+            total += n_int + n_float + n_pred
             points += 1
     return PressureStats(
         max_live_int=max_int,

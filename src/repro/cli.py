@@ -97,7 +97,8 @@ fuzz findings, 19 service overloaded (load shed), 20 tenant quota
 exceeded, 21 job deadline exceeded, 22 native kernel build failure,
 23 C toolchain missing, 24 native kernel parity mismatch, 25 native
 kernel crash, 26 cluster worker lost mid-shard, 27 shard lease fenced
-(a newer lease superseded this worker's claim).  Codes 13, 14, 17,
+(a newer lease superseded this worker's claim), 28 ``--compare``
+baseline recorded for a different run.  Codes 13, 14, 17,
 19, 20, 23, 25 and 26 are transient (retry, honouring any Retry-After
 hint — the native-engine supervisor demotes before raising, so a
 retry lands on the Python engines); the rest are permanent — in
@@ -122,7 +123,7 @@ from repro.lang.lexer import LexError
 from repro.lang.parser import ParseError
 from repro.lang.sema import SemaError
 from repro.machine.descriptor import MachineDescription, scalar_machine
-from repro.robustness.errors import ReproError
+from repro.robustness.errors import BaselineMismatchError, ReproError
 from repro.robustness.watchdog import EmulationWatchdog
 from repro.toolchain import (Model, ToolchainOptions, compile_for_model,
                              frontend, run_compiled, schedule_for_machine)
@@ -219,9 +220,12 @@ def _add_perf_args(parser: argparse.ArgumentParser) -> None:
                              "BENCH_pipeline.json")
     parser.add_argument("--compare", metavar="BASELINE_JSON",
                         help="compare stage wall times against a "
-                             "baseline bench JSON; exit "
-                             f"{_BENCH_REGRESSION_EXIT} if any stage "
-                             "regresses by more than 25%%")
+                             "baseline bench JSON of the same run "
+                             "(subcommand, workloads, scale, engine); "
+                             f"exit {_BENCH_REGRESSION_EXIT} if any "
+                             "stage regresses by more than 25%%, "
+                             f"{BaselineMismatchError.exit_code} if the "
+                             "baseline is of another run")
     parser.add_argument("--profile", action="store_true",
                         help="cProfile each pipeline stage; write "
                              "per-stage .pstats and a top-20 cumulative "
@@ -251,14 +255,25 @@ def _attach_profiler(suite, args):
     return profiler
 
 
-def _print_metrics(metrics, args, profiler=None) -> int:
+def _print_metrics(metrics, args, workloads, scale: float,
+                   profiler=None) -> int:
     """Pipeline summary to stderr; counters to --bench-json; profiles
     next to it; baseline comparison last.  Returns the exit code the
-    comparison demands (0 when clean or not requested)."""
+    comparison demands (0 when clean or not requested).
+
+    The bench JSON records the run's identity (subcommand, workloads,
+    scale, engine), and the comparison raises
+    :class:`BaselineMismatchError` for a baseline of another run:
+    per-invocation times of a one-workload ``bench`` and a
+    fifteen-workload ``report`` differ by design, not by regression."""
+    run = {"command": {"figures": "report", "sweep": "sweep run"}.get(
+               args.command, args.command),
+           "workloads": sorted(workloads), "scale": scale,
+           "engine": args.engine}
     print(metrics.render(), file=sys.stderr)
     bench_json = getattr(args, "bench_json", None)
     if bench_json:
-        metrics.write_json(bench_json)
+        metrics.write_json(bench_json, run=run)
         print(f"wrote {bench_json}", file=sys.stderr)
     if profiler is not None:
         out_dir = os.path.dirname(bench_json) or "." if bench_json else "."
@@ -270,7 +285,8 @@ def _print_metrics(metrics, args, profiler=None) -> int:
         import json as _json
         with open(baseline_path) as handle:
             baseline = _json.load(handle)
-        regressions = compare_stage_walltimes(metrics.to_dict(), baseline)
+        regressions = compare_stage_walltimes(
+            {**metrics.to_dict(), "run": run}, baseline)
         if regressions:
             print(f"stage regressions vs {baseline_path}:",
                   file=sys.stderr)
@@ -423,9 +439,11 @@ def _cmd_bench(args) -> int:
     except BaseException:
         suite.close_journal(ok=False)
         raise
-    exit_code = _print_metrics(suite.metrics, args, profiler)
-    _finish_run(suite)
-    return exit_code
+    try:
+        return _print_metrics(suite.metrics, args, [workload.name],
+                              args.scale, profiler)
+    finally:
+        _finish_run(suite)
 
 
 def _run_differential(workload, machine, args) -> None:
@@ -473,8 +491,12 @@ def _cmd_report(args) -> int:
         print(f"wrote {args.output}")
     else:
         print(text)
-    compare_exit = _print_metrics(suite.metrics, args, profiler)
-    _finish_run(suite)
+    try:
+        compare_exit = _print_metrics(
+            suite.metrics, args, [w.name for w in suite.workloads],
+            args.scale, profiler)
+    finally:
+        _finish_run(suite)
     if suite.failures:
         return 1
     return compare_exit
@@ -751,7 +773,10 @@ def _cmd_sweep_run(args) -> int:
         print(render(outcome.result.to_dict()), end="")
     elif not args.output:
         print(result_json)
-    return _print_metrics(metrics, args, profiler)
+    return _print_metrics(
+        metrics, args,
+        spec.workloads or [w.name for w in all_workloads()], spec.scale,
+        profiler)
 
 
 def _cmd_sweep_report(args) -> int:

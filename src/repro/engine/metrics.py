@@ -22,6 +22,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 from repro.engine.keys import KINDS, SCHEMA_VERSION
+from repro.robustness.errors import BaselineMismatchError
 
 #: pipeline stages with timed compute: ``lower`` runs the model's passes
 #: once per (workload, model), ``compile`` schedules that IR per machine
@@ -252,15 +253,22 @@ class PipelineMetrics:
                 data[rate] = round(self.rate(rate), digits)
         return data
 
-    def write_json(self, path: str) -> None:
+    def write_json(self, path: str, run: dict | None = None) -> None:
         """Dump the counters as ``BENCH_pipeline.json``-style JSON.
 
-        A bench file already at ``path`` keeps its timing trajectory:
-        every write appends one dated entry (stage wall times + cycle
-        volume) to a bounded ``history`` list.
+        ``run`` is the identity of the run that produced them (see
+        :func:`compare_stage_walltimes`); a bench file already at
+        ``path`` keeps its identity when ``run`` is not given.  The file
+        also keeps its timing trajectory: every write appends one dated
+        entry (stage wall times + cycle volume) to a bounded ``history``
+        list.
         """
         data = self.to_dict()
-        history = list(_read_json(path).get("history", []))
+        existing = _read_json(path)
+        run = run if run is not None else existing.get("run")
+        if run is not None:
+            data["run"] = run
+        history = list(existing.get("history", []))
         history.append({
             "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "schema": data["schema"],
@@ -325,12 +333,21 @@ def compare_stage_walltimes(current: dict, baseline: dict,
                             min_seconds: float = 0.05) -> list[str]:
     """Compare two bench-JSON dicts; return one line per regression.
 
-    A stage regresses when its per-invocation wall time exceeds the
+    Both must carry the same ``run`` identity (subcommand, workloads,
+    scale, engine); otherwise :class:`BaselineMismatchError` names the
+    two.  A stage regresses when its per-invocation wall time exceeds the
     baseline's by more than ``threshold`` (fraction).  Stages cheaper
     than ``min_seconds`` total in the baseline are ignored — their
     timings are dominated by noise, not by the code under test.  An
     empty return value means no stage regressed.
     """
+    current_run, baseline_run = current.get("run"), baseline.get("run")
+    if baseline_run is None or current_run != baseline_run:
+        raise BaselineMismatchError(
+            f"baseline is a different run: this run is "
+            f"{_describe_run(current_run)}, the baseline is "
+            f"{_describe_run(baseline_run)}",
+            current=current_run, baseline=baseline_run)
     regressions: list[str] = []
     for name, base in baseline.get("stages", {}).items():
         cur = current.get("stages", {}).get(name) or {}
@@ -348,3 +365,13 @@ def compare_stage_walltimes(current: dict, baseline: dict,
                 f"(+{(cur_per / base_per - 1.0) * 100:.0f}%, threshold "
                 f"+{threshold * 100:.0f}%)")
     return regressions
+
+
+def _describe_run(run: dict | None) -> str:
+    if run is None:
+        return "unrecorded (no 'run' identity in the file)"
+    workloads = run.get("workloads", [])
+    named = ",".join(workloads) if len(workloads) <= 3 \
+        else f"{len(workloads)} workloads"
+    return (f"'{run.get('command')}' over {named} at scale "
+            f"{run.get('scale')} with engine {run.get('engine')}")

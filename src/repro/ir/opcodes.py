@@ -160,7 +160,8 @@ _SIDE_EFFECTS = _CONTROL | {OpCategory.STORE, OpCategory.PREDSET}
 # The pass hot loops query every instruction's opcode.  Enum hashing is
 # Python-level code, so the answers are stored on each member once, at
 # import, and read as plain attributes: ``op.cat``, ``op.is_control``,
-# ``op.has_side_effects``.
+# ``op.has_side_effects`` (and ``op.may_except`` below;
+# :mod:`repro.machine.latencies` adds ``op.latency``).
 assert len(_CATEGORY) == len(Opcode), "every opcode needs a category"
 for _op, _cat in _CATEGORY.items():
     _op.cat = _cat
@@ -229,6 +230,8 @@ MAY_EXCEPT: frozenset[Opcode] = frozenset({
     Opcode.DIV, Opcode.REM, Opcode.FDIV,
     Opcode.LOAD, Opcode.LOAD_B, Opcode.FLOAD,
 })
+for _op in Opcode:
+    _op.may_except = _op in MAY_EXCEPT
 
 
 def has_side_effects(op: Opcode) -> bool:

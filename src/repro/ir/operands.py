@@ -7,6 +7,14 @@ extension (Section 2.1 of the paper).
 
 All operand objects are immutable and hashable so they can be used as
 dictionary keys in dataflow analyses.
+
+Registers also have a dense, stateless bit id (``bit``): ``VReg(i)`` is
+bit ``2*i`` and ``PReg(i)`` is bit ``2*i+1``.  INT and FLOAT virtual
+registers share one index counter (:meth:`Function.new_vreg`), so the id
+is unique within a function without any numbering pass; liveness and
+the scheduler represent register sets as Python-int bit masks over it.
+The id doubles as the hash, which keeps register hashing out of
+``Enum.__hash__``.
 """
 
 from __future__ import annotations
@@ -34,6 +42,14 @@ class VReg:
     index: int
     rclass: RegClass = RegClass.INT
 
+    def __hash__(self) -> int:
+        return self.index << 1
+
+    @property
+    def bit(self) -> int:
+        """Dense bit id: ``2 * index``."""
+        return self.index << 1
+
     def __repr__(self) -> str:
         return f"{self.rclass.value}{self.index}"
 
@@ -51,6 +67,14 @@ class PReg:
     """A 1-bit predicate register from the predicate register file."""
 
     index: int
+
+    def __hash__(self) -> int:
+        return self.index << 1 | 1
+
+    @property
+    def bit(self) -> int:
+        """Dense bit id: ``2 * index + 1``."""
+        return self.index << 1 | 1
 
     def __repr__(self) -> str:
         return f"p{self.index}"

@@ -15,7 +15,7 @@ import enum
 from repro.ir.function import Function, IRError, Program
 from repro.ir.instruction import Instruction
 from repro.ir.opcodes import OpCategory, Opcode
-from repro.ir.operands import GlobalAddr, Imm, PReg, VReg
+from repro.ir.operands import GlobalAddr, Imm, PReg, RegClass, VReg
 
 
 class ISALevel(enum.Enum):
@@ -100,6 +100,43 @@ def _check_instruction(inst: Instruction, fn: Function,
             f"{fn.name}: {inst!r}: stores cannot be speculative")
 
 
+def _check_register_ids(fn: Function) -> None:
+    """Every register was allocated by ``fn``: indices below
+    ``next_vreg``/``next_preg``, and one class per virtual index.
+
+    This is what makes a register's bit id (``VReg(i)`` -> ``2*i``,
+    ``PReg(i)`` -> ``2*i+1``) unique within the function.
+    """
+    classes: dict[int, RegClass] = {}
+
+    def check(reg, inst: Instruction | None) -> None:
+        if isinstance(reg, PReg):
+            if 0 <= reg.index < fn.next_preg:
+                return
+            problem = f"{reg!r} was not allocated (next_preg " \
+                f"{fn.next_preg})"
+        elif not 0 <= reg.index < fn.next_vreg:
+            problem = f"{reg!r} was not allocated (next_vreg " \
+                f"{fn.next_vreg})"
+        else:
+            seen = classes.setdefault(reg.index, reg.rclass)
+            if seen is reg.rclass:
+                return
+            problem = f"register index {reg.index} used as both " \
+                f"{seen.name} and {reg.rclass.name}"
+        where = "parameter" if inst is None else repr(inst)
+        raise VerificationError(f"{fn.name}: {where}: {problem}")
+
+    for reg in fn.params:
+        check(reg, None)
+    for block in fn.blocks:
+        for inst in block.instructions:
+            for reg in inst.defined_regs():
+                check(reg, inst)
+            for reg in inst.used_regs():
+                check(reg, inst)
+
+
 def verify_function(fn: Function, program: Program,
                     level: ISALevel = ISALevel.FULL) -> None:
     if not fn.blocks:
@@ -137,6 +174,7 @@ def verify_function(fn: Function, program: Program,
     if last.terminator is None or not last.instructions[-1].is_terminator:
         raise VerificationError(
             f"{fn.name}: control falls off the end of block {last.name}")
+    _check_register_ids(fn)
 
 
 def verify_program(program: Program,

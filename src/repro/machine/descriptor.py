@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from repro.ir.opcodes import Opcode, OpCategory, category
-from repro.machine.latencies import latency as _pa7100_latency
+from repro.ir.opcodes import Opcode, OpCategory
+# Imported for its side effect: every opcode's PA-7100 ``op.latency``.
+import repro.machine.latencies  # noqa: F401
 
 #: op-class names a latency override may target: a coarse category
 #: ("load", "falu") or an individual opcode mnemonic ("mul", "div_f").
@@ -133,10 +134,9 @@ class MachineDescription:
             by_op, by_cat = _split_overrides(self.latency_overrides)
             if op in by_op:
                 return by_op[op]
-            cat = category(op)
-            if cat in by_cat:
-                return by_cat[cat]
-        return _pa7100_latency(op)
+            if op.cat in by_cat:
+                return by_cat[op.cat]
+        return op.latency
 
     def with_issue(self, width: int, branches: int) -> "MachineDescription":
         return replace(self, issue_width=width, branch_issue_limit=branches,

@@ -9,7 +9,7 @@ multiply runs through the FP unit.
 
 from __future__ import annotations
 
-from repro.ir.opcodes import OpCategory, Opcode, category
+from repro.ir.opcodes import OpCategory, Opcode
 
 #: Cycles from issue until the result may be consumed.
 _LATENCY_BY_OPCODE: dict[Opcode, int] = {
@@ -43,8 +43,13 @@ _LATENCY_BY_CATEGORY: dict[OpCategory, int] = {
 }
 
 
+# Stored on each opcode member once, at import (like ``op.cat``), so the
+# scheduler's per-instruction lookups never hash an Enum.
+for _op in Opcode:
+    _op.latency = _LATENCY_BY_OPCODE.get(
+        _op, _LATENCY_BY_CATEGORY[_op.cat])
+
+
 def latency(op: Opcode) -> int:
     """Result latency in cycles of opcode ``op``."""
-    if op in _LATENCY_BY_OPCODE:
-        return _LATENCY_BY_OPCODE[op]
-    return _LATENCY_BY_CATEGORY[category(op)]
+    return op.latency

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.liveness import liveness
+from repro.analysis.liveness import liveness, reg_mask
 from repro.analysis.profile import Profile
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instruction import Instruction, PredDest, PType
@@ -40,13 +40,13 @@ class BranchCombineParams:
 
 
 def _group_safe(insts: list[Instruction], start: int, end: int,
-                operands: set, live_targets: set,
-                skip: set[int]) -> bool:
+                forbidden: int, skip: set[int]) -> bool:
     """Check instructions in (start, end) against the motion rules.
 
-    Positions in ``skip`` are group members already accepted (they will
-    become OR-type predicate defines, which write only the combined
-    predicate).
+    ``forbidden`` is the register mask no intervening instruction may
+    write: the branch's operands and its target's live-in.  Positions in
+    ``skip`` are group members already accepted (they will become
+    OR-type predicate defines, which write only the combined predicate).
     """
     for k in range(start + 1, end):
         if k in skip:
@@ -57,9 +57,8 @@ def _group_safe(insts: list[Instruction], start: int, end: int,
             return False
         if inst.is_control:
             return False
-        for d in inst.defined_regs():
-            if d in operands or d in live_targets:
-                return False
+        if reg_mask(inst.defined_regs()) & forbidden:
+            return False
     return True
 
 
@@ -92,10 +91,9 @@ def combine_branches(fn: Function, block: BasicBlock, profile: Profile,
     group = [end]
     for i in reversed(candidates[:-1]):
         inst = insts[i]
-        operands = set(r for r in inst.used_regs())
-        live_targets = set(live.live_in.get(inst.target, frozenset()))
-        if _group_safe(insts, i, end, operands, live_targets,
-                       set(group)):
+        forbidden = reg_mask(inst.used_regs()) \
+            | live.live_in.get(inst.target, 0)
+        if _group_safe(insts, i, end, forbidden, set(group)):
             group.insert(0, i)
         else:
             break

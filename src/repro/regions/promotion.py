@@ -22,12 +22,10 @@ Safety conditions for promoting instruction ``I`` (guard ``p``, dest
 
 from __future__ import annotations
 
-from repro.analysis.cfg import successors_map
 from repro.analysis.liveness import liveness
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instruction import Instruction
 from repro.ir.opcodes import MAY_EXCEPT, OpCategory
-from repro.ir.operands import PReg, VReg
 from repro.regions.ifconvert import PredInfo
 
 _PROMOTABLE = (OpCategory.ALU, OpCategory.CMP, OpCategory.FALU,
@@ -35,37 +33,30 @@ _PROMOTABLE = (OpCategory.ALU, OpCategory.CMP, OpCategory.FALU,
                OpCategory.SELECT)
 
 
-def _exit_live_sets(fn: Function, block: BasicBlock):
+def _exit_live_sets(fn: Function, block: BasicBlock) -> list[int]:
     """For each instruction index, registers live at exits at-or-after it.
 
-    Returns a list ``after_live`` parallel to the block where
-    ``after_live[i]`` is the union of live-in sets of every exit target
-    of a control instruction at index >= i, plus the function's
-    live-out contribution for the block's implicit fall-through.
+    Returns a list ``after_live`` of masks, parallel to the block plus
+    one, where ``after_live[i]`` is the union of live-in sets of every
+    exit target of a control instruction at index >= i, plus the
+    live-in of the block's implicit fall-through.
     """
-    live = liveness(fn)
-    succs = successors_map(fn)
+    live_in = liveness(fn).live_in
     n = len(block.instructions)
-    after: list[set] = [set() for _ in range(n + 1)]
-    # Fall-through at the very end of the block (if any).
-    fall_live: set = set()
+    after = [0] * (n + 1)
     layout_next = fn.layout_next(block)
     last = block.instructions[-1] if block.instructions else None
     falls = not (last is not None and last.is_terminator)
-    if falls and layout_next is not None and layout_next in live.live_in:
-        fall_live = set(live.live_in[layout_next])
-    acc = set(fall_live)
-    after[n] = set(acc)
+    acc = 0
+    if falls and layout_next is not None:
+        acc = live_in.get(layout_next, 0)
+    after[n] = acc
     for i in range(n - 1, -1, -1):
         inst = block.instructions[i]
         if inst.is_control and inst.target is not None \
-                and inst.cat is not OpCategory.CALL \
-                and inst.target in live.live_in:
-            acc |= live.live_in[inst.target]
-        after[i] = set(acc)
-    # `succs` retained for interface symmetry; liveness already folds in
-    # successor information.
-    del succs
+                and inst.cat is not OpCategory.CALL:
+            acc |= live_in.get(inst.target, 0)
+        after[i] = acc
     return after
 
 
@@ -101,7 +92,7 @@ def promote_predicates(fn: Function, block: BasicBlock,
                 # afterwards, which DCE would have caught already.
                 continue
             p = inst.pred
-            if dest in after_live[i + 1]:
+            if after_live[i + 1] >> dest.bit & 1:
                 continue
             safe = True
             for j in range(i + 1, n):

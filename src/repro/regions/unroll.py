@@ -56,15 +56,13 @@ def _renamable_regs(fn: Function, block: BasicBlock) -> list:
     live into or out of it, in first-definition order.
 
     The order picks which fresh register each one is renamed to, so it
-    must not come from set iteration: register hashes include a
-    string-hashed enum and vary with ``PYTHONHASHSEED``.
+    comes from the instruction stream, never from set iteration.
     """
     live = liveness(fn)
-    keep = set(live.live_in.get(block.name, frozenset()))
-    keep |= set(live.live_out.get(block.name, frozenset()))
+    keep = live.live_in.get(block.name, 0) | live.live_out.get(block.name, 0)
     defined = dict.fromkeys(reg for inst in block.instructions
                             for reg in inst.defined_regs())
-    return [r for r in defined if r not in keep]
+    return [r for r in defined if not keep >> r.bit & 1]
 
 
 def unroll_self_loop(fn: Function, block: BasicBlock,

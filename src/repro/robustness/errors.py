@@ -335,6 +335,25 @@ class LeaseFencedError(ReproError):
         self.holder_epoch = holder_epoch
 
 
+class BaselineMismatchError(ReproError):
+    """``--compare`` was given a baseline of a different run.
+
+    Per-invocation stage times are comparable only between runs of the
+    same subcommand over the same workloads, scale and engine; a
+    baseline recorded for another run (or recorded before bench files
+    named their run) would report spurious regressions or hide real
+    ones.  Neither a pass nor a regression: its own exit code.
+    """
+
+    exit_code = 28
+
+    def __init__(self, message: str, *, current: dict | None = None,
+                 baseline: dict | None = None):
+        super().__init__(message)
+        self.current = current
+        self.baseline = baseline
+
+
 # ----- classification -------------------------------------------------------
 
 def _classified_bases() -> tuple[type[BaseException], ...]:

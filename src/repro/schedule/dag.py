@@ -27,12 +27,17 @@ from dataclasses import dataclass, field
 from repro.analysis.liveness import Liveness
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instruction import Instruction, PType
-from repro.ir.opcodes import MAY_EXCEPT, OpCategory, Opcode
+from repro.ir.opcodes import OpCategory, Opcode
 from repro.ir.operands import PReg
 from repro.machine.descriptor import MachineDescription
 
 _PARALLEL_SET = frozenset({PType.OR, PType.OR_BAR})
 _PARALLEL_CLEAR = frozenset({PType.AND, PType.AND_BAR})
+#: ordered cmov/cmov_com pairs (a tuple: ``in`` compares, never hashes)
+_COMPLEMENTARY_CMOVS = ((Opcode.CMOV, Opcode.CMOV_COM),
+                        (Opcode.CMOV_COM, Opcode.CMOV),
+                        (Opcode.FCMOV, Opcode.FCMOV_COM),
+                        (Opcode.FCMOV_COM, Opcode.FCMOV))
 
 
 @dataclass
@@ -65,9 +70,12 @@ def _parallel_family(inst: Instruction, reg) -> frozenset | None:
     """Ptype family of inst's define of ``reg`` if order-independent."""
     for pd in inst.pdests:
         if pd.reg == reg:
-            if pd.ptype in _PARALLEL_SET:
+            # Identity tests: the DAG builder runs this per edge, and
+            # set membership would hash the enum member.
+            ptype = pd.ptype
+            if ptype is PType.OR or ptype is PType.OR_BAR:
                 return _PARALLEL_SET
-            if pd.ptype in _PARALLEL_CLEAR:
+            if ptype is PType.AND or ptype is PType.AND_BAR:
                 return _PARALLEL_CLEAR
             return None
     return None
@@ -78,21 +86,9 @@ def _complementary_cmovs(a: Instruction, b: Instruction) -> bool:
     (paper Section 2.2: at most one of them modifies the register)."""
     if a.cat is not OpCategory.CMOV or b.cat is not OpCategory.CMOV:
         return False
-    pair = {a.op, b.op}
-    if pair not in ({Opcode.CMOV, Opcode.CMOV_COM},
-                    {Opcode.FCMOV, Opcode.FCMOV_COM}):
+    if (a.op, b.op) not in _COMPLEMENTARY_CMOVS:
         return False
     return a.dest == b.dest and a.srcs[1] == b.srcs[1]
-
-
-def _speculable(inst: Instruction, live_at_target: frozenset) -> bool:
-    """May ``inst`` cross a branch with the given target liveness?"""
-    if not inst.is_pure:
-        return False
-    for d in inst.defined_regs():
-        if d in live_at_target:
-            return False
-    return True
 
 
 def build_dag(fn: Function, block: BasicBlock, live: Liveness,
@@ -100,13 +96,30 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
     insts = block.instructions
     n = len(insts)
     graph = DepGraph(insts, [[] for _ in range(n)], [[] for _ in range(n)])
-    # Per-instruction facts the pairwise loops below consult repeatedly.
+    # Per-instruction facts the pairwise loops below consult repeatedly;
+    # ``live`` must describe the block as it is (its facts are reused).
     lat = [machine.latency(inst.op) for inst in insts]
     used = [inst.used_regs() for inst in insts]
+    defined = [inst.defined_regs() for inst in insts]
+    facts = live.facts[block.name]
+    # Only predicate defines and cmovs can be order-independent pairs.
+    special = [bool(inst.pdests) or inst.cat is OpCategory.CMOV
+               for inst in insts]
+    add_edge = graph.add_edge
+
+    def independent(i: int, j: int, reg) -> bool:
+        """Wired-OR/AND defines of ``reg`` and complementary cmovs need
+        no ordering between them."""
+        a, b = insts[i], insts[j]
+        fam = _parallel_family(a, reg)
+        if fam is not None and fam is _parallel_family(b, reg):
+            return True
+        return _complementary_cmovs(a, b)
 
     # Register dependences.
     last_definite: dict = {}
     pending: dict = {}  # reg -> list of conditional def indices
+    readers: dict = {}  # reg -> earlier instructions reading it, in order
 
     def defs_reaching(reg) -> list[int]:
         out = []
@@ -116,37 +129,25 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
         return out
 
     for j, inst in enumerate(insts):
+        special_j = special[j]
         # RAW (including guard predicates and cmov implicit dest reads).
         for r in used[j]:
             for i in defs_reaching(r):
-                producer = insts[i]
-                fam_i = _parallel_family(producer, r)
-                fam_j = _parallel_family(inst, r)
-                if fam_i is not None and fam_i is fam_j:
-                    continue  # wired-OR/AND: order independent
-                if _complementary_cmovs(producer, inst):
+                if special_j and special[i] and independent(i, j, r):
                     continue
-                graph.add_edge(i, j, lat[i])
+                add_edge(i, j, lat[i])
         # WAR: writers wait for earlier readers (latency 0 keeps order).
-        for r in inst.defined_regs():
+        for r in defined[j]:
             reaching = defs_reaching(r)
-            for i in range(j):
-                if r in used[i] and i not in reaching:
-                    fam_i = _parallel_family(insts[i], r)
-                    fam_j = _parallel_family(inst, r)
-                    if fam_i is not None and fam_i is fam_j:
-                        continue
-                    if _complementary_cmovs(insts[i], inst):
-                        continue
-                    graph.add_edge(i, j, 0)
-        # WAW.
-        for r in inst.defined_regs():
-            for i in defs_reaching(r):
-                fam_i = _parallel_family(insts[i], r)
-                fam_j = _parallel_family(inst, r)
-                if fam_i is not None and fam_i is fam_j:
+            for i in readers.get(r, ()):
+                if i in reaching or special_j and special[i] \
+                        and independent(i, j, r):
                     continue
-                if _complementary_cmovs(insts[i], inst):
+                add_edge(i, j, 0)
+        # WAW.
+        for r in defined[j]:
+            for i in defs_reaching(r):
+                if special_j and special[i] and independent(i, j, r):
                     continue
                 # Predicate WAW must keep a cycle between writes (U-type
                 # defines "may not issue simultaneously"); register WAW
@@ -155,7 +156,7 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
                     waw_lat = 1
                 else:
                     waw_lat = 1 if lat[i] > 1 else 0
-                graph.add_edge(i, j, waw_lat)
+                add_edge(i, j, waw_lat)
             # Update def records.  Parallel-type (OR/AND) predicate
             # destinations accumulate rather than overwrite, so they are
             # pending defs like guarded writes — a later reader depends
@@ -166,6 +167,8 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
             else:
                 last_definite[r] = j
                 pending.pop(r, None)
+        for r in dict.fromkeys(used[j]):
+            readers.setdefault(r, []).append(j)
 
     # pred_clear / pred_set rewrite the entire predicate file: order them
     # against every instruction touching any predicate register.
@@ -180,10 +183,8 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
             last_predset = j
             touchers = []
         else:
-            touches_preds = (inst.pred is not None or inst.pdests
-                             or any(isinstance(r, PReg)
-                                    for r in used[j]))
-            if touches_preds:
+            # The guard is among the uses.
+            if inst.pdests or facts[j].use & live.pred_bits:
                 if last_predset is not None:
                     graph.add_edge(last_predset, j, 1)
                 touchers.append(j)
@@ -253,34 +254,34 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
                 loads_since.pop(key, None)
             last_store_at[key] = j
 
-    # Control dependences.
-    empty: frozenset = frozenset()
+    # Control dependences.  A pure instruction may cross an exit branch
+    # (speculation) when it defines nothing live at the branch target.
+    is_control = [inst.is_control for inst in insts]
+    # Definitions of each instruction that may move at all (None: never).
+    movable_defs = [f.defs if inst.is_pure else None
+                    for inst, f in zip(insts, facts)]
     for b, binst in enumerate(insts):
-        if not binst.is_control:
+        if not is_control[b]:
             continue
-        barrier = binst.cat is OpCategory.CALL
-        if barrier:
-            live_target = None
+        if binst.cat is OpCategory.CALL:
+            live_target = None  # a barrier
         elif binst.cat is OpCategory.RET:
             # A return's "target" needs only the returned value: other
             # pure instructions may move across it like any exit branch.
-            live_target = frozenset(used[b])
+            live_target = facts[b].use
         else:
-            live_target = live.live_in.get(binst.target or "", empty)
+            live_target = live.live_in.get(binst.target or "", 0)
         for j in range(n):
             if j == b:
                 continue
-            other = insts[j]
-            if other.is_control and j > b:
-                graph.add_edge(b, j, 0)
+            if is_control[j]:
+                if j > b:
+                    add_edge(b, j, 0)
                 continue
-            if other.is_control:
-                continue
-            movable = (not barrier and live_target is not None
-                       and _speculable(other, live_target))
-            if not movable:
+            defs = movable_defs[j]
+            if live_target is None or defs is None or defs & live_target:
                 if j < b:
-                    graph.add_edge(j, b, 0)
+                    add_edge(j, b, 0)
                 else:
-                    graph.add_edge(b, j, 0)
+                    add_edge(b, j, 0)
     return graph

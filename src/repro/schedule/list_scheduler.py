@@ -17,7 +17,6 @@ from heapq import heappop, heappush
 from repro.analysis.liveness import liveness
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instruction import Instruction
-from repro.ir.opcodes import MAY_EXCEPT, OpCategory
 from repro.machine.descriptor import MachineDescription
 from repro.schedule.dag import build_dag
 
@@ -115,7 +114,7 @@ def schedule_block(fn: Function, block: BasicBlock,
                         if insts[i].is_control]
     for idx in scheduled_order:
         inst = insts[idx]
-        if inst.op in MAY_EXCEPT and not inst.speculative:
+        if inst.op.may_except and not inst.speculative:
             crossed = any(orig < idx and pos > final_pos[idx]
                           for orig, pos in branch_positions)
             if crossed:
@@ -128,10 +127,15 @@ def schedule_block(fn: Function, block: BasicBlock,
     return result
 
 
-def schedule_function(fn: Function,
-                      machine: MachineDescription) -> ScheduleResult:
-    """Schedule every block of ``fn``; returns merged cycle annotations."""
-    live = liveness(fn)
+def schedule_function(fn: Function, machine: MachineDescription,
+                      live=None) -> ScheduleResult:
+    """Schedule every block of ``fn``; returns merged cycle annotations.
+
+    ``live`` is ``fn``'s liveness before scheduling (computed when
+    omitted); scheduling a block never changes another block's.
+    """
+    if live is None:
+        live = liveness(fn)
     merged = ScheduleResult()
     for block in fn.blocks:
         r = schedule_block(fn, block, machine, live)
@@ -141,10 +145,15 @@ def schedule_function(fn: Function,
     return merged
 
 
-def schedule_program(program, machine: MachineDescription) -> ScheduleResult:
+def schedule_program(program, machine: MachineDescription,
+                     live: dict | None = None) -> ScheduleResult:
+    """Schedule every function; ``live`` optionally maps function names
+    to their precomputed liveness (see
+    :meth:`repro.toolchain.LoweredProgram.liveness`)."""
     merged = ScheduleResult()
     for fn in program.functions.values():
-        r = schedule_function(fn, machine)
+        r = schedule_function(fn, machine,
+                              None if live is None else live[fn.name])
         merged.cycles.update(r.cycles)
         merged.speculated += r.speculated
     return merged

@@ -32,6 +32,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.analysis.liveness import Liveness, liveness
 from repro.analysis.profile import Profile
 from repro.emu.interpreter import run_program
 from repro.emu.trace import ExecutionResult
@@ -139,10 +140,22 @@ class LoweredProgram:
     model: Model
     #: passes skipped by rollback-and-continue (empty on clean compiles)
     degradations: list[Degradation] = field(default_factory=list)
+    _liveness: dict | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     @property
     def static_size(self) -> int:
         return self.program.static_size()
+
+    def liveness(self) -> dict[str, Liveness]:
+        """Per-function liveness of the lowered IR, computed once: the
+        list scheduler needs it for every machine, and it depends only
+        on the IR.  Kept here, not on the program, so compiled
+        artifacts never carry it."""
+        if self._liveness is None:
+            self._liveness = {name: liveness(fn) for name, fn
+                              in self.program.functions.items()}
+        return self._liveness
 
 
 @dataclass
@@ -278,7 +291,7 @@ def schedule_for_machine(lowered: LoweredProgram,
     for any other machine."""
     program = lowered.program.clone()
     try:
-        schedule = schedule_program(program, machine)
+        schedule = schedule_program(program, machine, lowered.liveness())
         addresses = assign_addresses(program, machine.instruction_bytes)
     except ReproError:
         # Already classified (e.g. a CompileError out of the

@@ -10,6 +10,7 @@ from repro.engine.metrics import (COUNTERS, STAGES, PipelineMetrics,
                                   compare_stage_walltimes)
 from repro.engine.profiling import StageProfiler
 from repro.engine.store import ArtifactStore
+from repro.robustness.errors import BaselineMismatchError
 
 KEY = stable_digest("perf", "inputs")
 
@@ -155,10 +156,18 @@ def test_accumulate_json_folds_the_existing_file(tmp_path):
 
 # ----- regression comparison ----------------------------------------------
 
-def _bench(walls: dict[str, float], invocations: int = 10) -> dict:
-    return {"stages": {name: {"wall_seconds": wall,
+RUN = {"command": "report", "workloads": ["wc"], "scale": 0.5,
+       "engine": "vector"}
+
+
+def _bench(walls: dict[str, float], invocations: int = 10,
+           run: dict | None = RUN) -> dict:
+    data = {"stages": {name: {"wall_seconds": wall,
                               "invocations": invocations}
                        for name, wall in walls.items()}}
+    if run is not None:
+        data["run"] = run
+    return data
 
 
 def test_compare_flags_only_regressed_stages():
@@ -206,11 +215,53 @@ def test_committed_baseline_replayed_against_itself_passes(capsys):
     from repro.cli import _print_metrics
 
     baseline = Path(__file__).resolve().parents[2] / "BENCH_pipeline.json"
+    data = json.loads(baseline.read_text())
     metrics = PipelineMetrics()
-    metrics.merge_dict(json.loads(baseline.read_text()))
-    args = argparse.Namespace(engine="vector", compare=str(baseline))
-    assert _print_metrics(metrics, args) == 0
+    metrics.merge_dict(data)
+    run = data["run"]
+    args = argparse.Namespace(command=run["command"], engine=run["engine"],
+                              compare=str(baseline))
+    assert _print_metrics(metrics, args, run["workloads"],
+                          run["scale"]) == 0
     assert "no stage regressions" in capsys.readouterr().err
+
+
+def test_compare_refuses_a_baseline_of_another_run():
+    baseline = _bench({"emulate": 1.0})
+    bench_wc = {**RUN, "command": "bench"}
+    with pytest.raises(BaselineMismatchError) as info:
+        compare_stage_walltimes(_bench({"emulate": 1.0}, run=bench_wc),
+                                baseline)
+    message = str(info.value)
+    assert "'bench' over wc" in message and "'report' over wc" in message
+    assert info.value.exit_code not in (0, 3)
+
+
+def test_compare_refuses_a_baseline_without_identity():
+    with pytest.raises(BaselineMismatchError, match="unrecorded"):
+        compare_stage_walltimes(_bench({"emulate": 1.0}),
+                                _bench({"emulate": 1.0}, run=None))
+
+
+def test_bench_against_the_report_baseline_exits_with_mismatch(capsys):
+    """The committed baseline is a fifteen-workload ``report``; a
+    one-workload ``bench`` must not be gated against it."""
+    from pathlib import Path
+
+    from repro.cli import main
+
+    baseline = Path(__file__).resolve().parents[2] / "BENCH_pipeline.json"
+    code = main(["bench", "wc", "--scale", "0.2", "--no-cache",
+                 "--compare", str(baseline)])
+    assert code == BaselineMismatchError.exit_code
+    assert "error[BaselineMismatchError]" in capsys.readouterr().err
+
+
+def test_write_json_records_and_keeps_the_run_identity(tmp_path):
+    path = tmp_path / "bench.json"
+    PipelineMetrics().write_json(str(path), run=RUN)
+    PipelineMetrics().accumulate_json(str(path))
+    assert json.loads(path.read_text())["run"] == RUN
 
 
 # ----- timing trajectory ---------------------------------------------------

@@ -15,6 +15,8 @@ def _simple_program() -> Program:
     b = IRBuilder(fn, fn.new_block("entry"))
     t = b.add(Imm(1), Imm(2))
     b.ret(t)
+    # Reserve the registers the tests below insert by hand (r5, r9, p1).
+    fn.next_vreg, fn.next_preg = 10, 2
     return prog
 
 
@@ -160,3 +162,40 @@ def test_global_var_sizes():
     g = GlobalVar("tab", 4, 10)
     assert g.byte_size == 40
     assert GlobalVar("f", 8, 3, is_float=True).byte_size == 24
+
+
+def test_verify_rejects_unallocated_virtual_register():
+    prog = _simple_program()
+    prog.main.entry.instructions.insert(
+        0, Instruction(Opcode.ADD, dest=VReg(10), srcs=(Imm(1), Imm(2))))
+    with pytest.raises(VerificationError, match="r10 was not allocated"):
+        verify_program(prog)
+
+
+def test_verify_rejects_unallocated_predicate_register():
+    prog = _simple_program()
+    prog.main.entry.instructions.insert(
+        0, Instruction(Opcode.ADD, dest=VReg(5), srcs=(Imm(1), Imm(2)),
+                       pred=PReg(2)))
+    with pytest.raises(VerificationError, match="p2 was not allocated"):
+        verify_program(prog)
+
+
+def test_verify_rejects_one_index_in_two_register_classes():
+    # r5 and f5 would share bit 10 in liveness masks.
+    prog = _simple_program()
+    entry = prog.main.entry
+    entry.instructions.insert(
+        0, Instruction(Opcode.MOV, dest=VReg(5), srcs=(Imm(1),)))
+    entry.instructions.insert(
+        1, Instruction(Opcode.CVT_IF, dest=VReg(5, RegClass.FLOAT),
+                       srcs=(VReg(5),)))
+    with pytest.raises(VerificationError, match="both INT and FLOAT"):
+        verify_program(prog)
+
+
+def test_verify_rejects_unallocated_parameter():
+    prog = _simple_program()
+    prog.main.params = [VReg(12)]
+    with pytest.raises(VerificationError, match="parameter"):
+        verify_program(prog)

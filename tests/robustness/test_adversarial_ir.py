@@ -10,6 +10,8 @@ from repro.ir.instruction import PredDest, PType
 def _program(*insts: Instruction) -> Program:
     prog = Program()
     fn = Function("main")
+    # The instructions below use r0, r1 and p1.
+    fn.next_vreg, fn.next_preg = 2, 2
     prog.add_function(fn)
     block = fn.new_block("entry")
     for inst in insts:
